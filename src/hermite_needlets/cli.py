@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,6 +29,20 @@ from .errors import NeedletError, ParameterError, ResourceError
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _check_config_value(key: str, value, hint) -> None:
+    """Reject a JSON config ``value`` that does not fit the annotation ``hint``.
+
+    An integer is accepted for a float field; a boolean for no field.
+    """
+    allowed = typing.get_args(hint) or (hint,)
+    if not isinstance(value, bool) and (
+        isinstance(value, allowed) or (float in allowed and isinstance(value, int))
+    ):
+        return
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    raise ParameterError(f"config key {key!r} must be {names}, got {value!r}")
 
 
 @dataclass
@@ -55,13 +70,20 @@ class RunConfig:
             unknown = set(data) - known
             if unknown:
                 raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+            hints = typing.get_type_hints(cls)
             for key, value in data.items():
                 if key == "cutoff" and isinstance(value, dict):
                     value = value.get("kind", "quadratic")
+                _check_config_value(key, value, hints[key])
                 setattr(cfg, key, value)
         env_budget = os.environ.get("NEEDLET_NODE_BUDGET")
         if env_budget:
-            cfg.node_budget = int(env_budget)
+            try:
+                cfg.node_budget = int(env_budget)
+            except ValueError as exc:
+                raise ParameterError(
+                    f"NEEDLET_NODE_BUDGET must be an integer, got {env_budget!r}"
+                ) from exc
         return cfg
 
     def apply_flags(self, args: argparse.Namespace) -> "RunConfig":
@@ -253,10 +275,18 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             parts = line.strip().split(",")
             if not parts or parts == [""]:
                 continue
-            j, i, v = int(parts[j_col]), int(parts[i_col]), float(parts[v_col])
+            try:
+                j, i, v = int(parts[j_col]), int(parts[i_col]), float(parts[v_col])
+            except (IndexError, ValueError) as exc:
+                raise ParameterError(f"malformed coefficient row {line!r}") from exc
             if j < 0 or j > frame.j_max:
                 raise ParameterError(f"coefficient level {j} outside frame depth")
-            arr = level_values.setdefault(j, np.zeros(frame.levels[j].node_count))
+            count = frame.levels[j].node_count
+            if i < 0 or i >= count:
+                raise ParameterError(
+                    f"node index {i} outside level {j} (0..{count - 1})"
+                )
+            arr = level_values.setdefault(j, np.zeros(count))
             arr[i] = v
     coeffs = nf.NeedletCoefficients(frame=frame, level_values=level_values)
     g = nf.synthesize(coeffs, frame)
@@ -308,6 +338,8 @@ def cmd_norms(args: argparse.Namespace) -> int:
 def cmd_decay(args: argparse.Namespace) -> int:
     cfg = RunConfig.load(args.config).apply_flags(args)
     frame = cfg.build_frame()
+    if not 0 <= args.level <= frame.j_max:
+        raise ParameterError(f"level {args.level} outside 0..{frame.j_max}")
     level = frame.levels[args.level]
     node = args.node if args.node is not None else level.node_count // 2
     report = nf.localization_profile(

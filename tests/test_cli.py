@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hermite_needlets
 from hermite_needlets.cli import main
 
 
@@ -363,3 +367,68 @@ class TestVerify:
     def test_quadrature_suite_passes(self, capsys):
         assert run(["verify", "--suite", "quadrature"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+
+class TestBadInputExits2:
+    """Malformed outside input ends in exit 2 with a one-line message."""
+
+    def _assert_one_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"j_max": "3"}))
+        assert run(["frame", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+        self._assert_one_line(capsys)
+
+    def test_config_bool_is_not_an_integer(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"j_max": True}))
+        assert run(["frame", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+
+    def test_config_integer_for_float_and_null_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_radius": 5, "points_per_unit": None}))
+        out = tmp_path / "r.csv"
+        assert run(["rule", "--n", "2", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_non_integer_node_budget_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NEEDLET_NODE_BUDGET", "1e5")
+        assert run(["rule", "--n", "2", "--out", str(tmp_path / "r.csv")]) == 2
+        self._assert_one_line(capsys)
+
+    @pytest.mark.parametrize("level", ["3", "-1"])
+    def test_decay_level_outside_frame(self, tmp_path, capsys, level):
+        out = tmp_path / "decay.csv"
+        code = run(["decay", "--level", level, "--j-max", "2", "--out", str(out)])
+        assert code == 2
+        self._assert_one_line(capsys)
+
+    @pytest.mark.parametrize("row", ["1,999,0.0,1.0", "1,-1,0.0,1.0", "1,x,0.0,1.0"])
+    def test_reconstruct_bad_coefficient_row(self, tmp_path, capsys, row):
+        coeffs = tmp_path / "c.csv"
+        coeffs.write_text(f"level,node_index,xi_1,s_value\n{row}\n")
+        out = tmp_path / "r.json"
+        argv = ["reconstruct", "--coeffs", str(coeffs), "--j-max", "2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        self._assert_one_line(capsys)
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy costs every CLI process about 0.4 s and 28 MB at start-up
+    src = os.path.dirname(os.path.dirname(hermite_needlets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, hermite_needlets.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

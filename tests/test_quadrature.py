@@ -80,6 +80,87 @@ class TestZeros:
         finally:
             quad._zeros_cached.cache_clear()
 
+    def test_asymptotic_guesses_still_need_newton(self, monkeypatch):
+        # one sweep cannot meet the tolerance from the asymptotic guesses,
+        # so a capped polish must still report failure, not return them
+        monkeypatch.setattr(quad, "_NEWTON_MAX_ITER", 1)
+        quad._zeros_cached.cache_clear()
+        try:
+            with pytest.raises(NumericFailureError):
+                hermite_zeros(500)
+        finally:
+            quad._zeros_cached.cache_clear()
+
+    def test_asymptotic_guesses_need_two_sweeps(self, monkeypatch):
+        # two Newton sweeps over n/2 points are the cost of a large rule;
+        # coarser edge guesses (no exact Airy zeros) would need a third
+        monkeypatch.setattr(quad, "_NEWTON_MAX_ITER", 2)
+        quad._zeros_cached.cache_clear()
+        try:
+            for n in (150, 151, 777, 4238):
+                hermite_zeros(n)
+        finally:
+            quad._zeros_cached.cache_clear()
+
+    def test_ordered_symmetric_centred_every_order(self):
+        # spans the switch from dense-eigenvalue to asymptotic guesses
+        for n in range(1, 401):
+            z = hermite_zeros(n)
+            assert z.size == n
+            assert np.all(np.diff(z) > 0), n
+            np.testing.assert_array_equal(z, -z[::-1])
+            if n % 2 == 1:
+                assert z[n // 2] == 0.0
+
+
+def _mp_recurrence(n, xs):
+    """h_{n-1}, h_n and K_n = sum_{k<=n} h_k^2 at each of ``xs``, in mpmath."""
+    import mpmath
+
+    mp = mpmath.mp
+    prev = [mp.zero] * len(xs)
+    cur = [mp.pi ** -0.25 * mp.exp(-x * x / 2) for x in xs]
+    acc = [c * c for c in cur]
+    for k in range(n):
+        a, b = mp.sqrt(mp.mpf(2) / (k + 1)), mp.sqrt(mp.mpf(k) / (k + 1))
+        prev, cur = cur, [x * a * c - b * p for x, c, p in zip(xs, cur, prev)]
+        acc = [s + c * c for s, c in zip(acc, cur)]
+    return prev, cur, acc
+
+
+class TestRuleOracle:
+    """Nodes and weights against 30-digit mpmath values."""
+
+    @pytest.mark.parametrize("n", [149, 150, 151, 1062, 4238])
+    def test_nodes_and_weights(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        r = gauss_hermite_rule(n)
+        first, last = (n + 1) // 2, n - 1
+        idx = [first, (first + last) // 2, last]
+        with mpmath.workdps(30):
+            roots = [mpmath.mpf(float(r.nodes[i])) for i in idx]
+            # two Newton steps, h_n' = sqrt(2n) h_{n-1} - x h_n, from double
+            # precision reach ~1e-30
+            for sweep in range(2):
+                prev, cur, acc = _mp_recurrence(n, roots)
+                if sweep == 0:
+                    kernel = acc  # K_n at the computed nodes themselves
+                roots = [
+                    x - c / (mpmath.sqrt(2 * n) * p - x * c)
+                    for x, c, p in zip(roots, cur, prev)
+                ]
+            for i, root, k in zip(idx, roots, kernel):
+                x = r.nodes[i]
+                assert abs(float(root) - x) <= 1e-14 * (1.0 + abs(x)), (n, i)
+                lam = mpmath.mpf(float(r.christoffel_weights[i]))
+                assert abs(lam * k - 1) <= 1e-10, (n, i)
+
+    def test_airy_zeros(self):
+        mpmath = pytest.importorskip("mpmath")
+        got = quad._airy_zeros(12)
+        want = [float(mpmath.airyaizero(k)) for k in range(1, 13)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
 
 class TestRule:
     def test_one_point(self):
