@@ -337,9 +337,9 @@ def cmd_norms(args: argparse.Namespace) -> int:
 
 def cmd_decay(args: argparse.Namespace) -> int:
     cfg = RunConfig.load(args.config).apply_flags(args)
+    if not 0 <= args.level <= cfg.j_max:
+        raise ParameterError(f"level {args.level} outside 0..{cfg.j_max}")
     frame = cfg.build_frame()
-    if not 0 <= args.level <= frame.j_max:
-        raise ParameterError(f"level {args.level} outside 0..{frame.j_max}")
     level = frame.levels[args.level]
     node = args.node if args.node is not None else level.node_count // 2
     report = nf.localization_profile(

@@ -3,9 +3,8 @@
 The zeros of H_n are symmetric, so only the floor(n/2) positive ones are
 computed.  Their initial guesses come from asymptotics: Tricomi's formula in
 the bulk and Gatteschi's Airy-type formula near the largest zeros (Townsend,
-Trogdon & Olver, IMA J. Numer. Anal. 2016, Lemmas 3.1 and 3.2); below order
-150, where those formulas are coarser, from the eigenvalues of the dense
-Jacobi matrix.  Newton iteration on the normalized recurrence polishes them,
+Trogdon & Olver, IMA J. Numer. Anal. 2016, Lemmas 3.1 and 3.2), at every
+order.  Newton iteration on the normalized recurrence polishes them,
 and the negative zeros are their mirror image.  Weights are computed through
 the Christoffel function 1/K_n at the nodes, which is overflow-free at any
 order the degree cap allows and even in t, so it too is evaluated on one
@@ -33,10 +32,6 @@ DEFAULT_NODE_BUDGET = 10**7
 
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-14
-
-# Below this order the dense Jacobi eigenvalues cost little and leave Newton
-# one sweep; the asymptotic guesses, coarser at low order, leave two or three.
-_ASYMPTOTIC_MIN_ORDER = 150
 
 # Airy zeros a_1..a_6 (DLMF Table 9.9.1).  The asymptotic series is accurate
 # to 1e-12 from a_7 on but only to 3e-3 at a_1; with exact values here the
@@ -158,12 +153,13 @@ def _asymptotic_positive_zeros(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _zeros_cached(n: int) -> np.ndarray:
-    if n >= _ASYMPTOTIC_MIN_ORDER:
-        guesses = _asymptotic_positive_zeros(n)
-    else:
-        off_diag = np.sqrt(np.arange(1, n) / 2.0)
-        guesses = np.linalg.eigvalsh(np.diag(off_diag, -1))[(n + 1) // 2 :]
-    positive = _newton_polish(n, guesses)
+    positive = _newton_polish(n, _asymptotic_positive_zeros(n))
+    # Newton could send two guesses to one zero, or one to a negative zero;
+    # either would leave a wrong rule that nothing downstream detects.
+    if positive.size and not (positive[0] > 0 and np.all(np.diff(positive) > 0)):
+        raise NumericFailureError(
+            f"Newton polish for Hermite zeros (n={n}) lost a positive zero"
+        )
     centre = [0.0] if n % 2 == 1 else []
     zeros = np.concatenate((-positive[::-1], centre, positive))
     zeros.setflags(write=False)

@@ -406,6 +406,12 @@ class TestBadInputExits2:
         assert code == 2
         self._assert_one_line(capsys)
 
+    def test_decay_level_checked_before_frame_build(self, tmp_path, capsys):
+        # a budget too small for any frame would exit 3 if the frame came first
+        argv = ["decay", "--level", "3", "--j-max", "2", "--node-budget", "1"]
+        assert run(argv + ["--out", str(tmp_path / "decay.csv")]) == 2
+        self._assert_one_line(capsys)
+
     @pytest.mark.parametrize("row", ["1,999,0.0,1.0", "1,-1,0.0,1.0", "1,x,0.0,1.0"])
     def test_reconstruct_bad_coefficient_row(self, tmp_path, capsys, row):
         coeffs = tmp_path / "c.csv"

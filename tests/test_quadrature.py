@@ -80,14 +80,20 @@ class TestZeros:
         finally:
             quad._zeros_cached.cache_clear()
 
-    def test_asymptotic_guesses_still_need_newton(self, monkeypatch):
-        # one sweep cannot meet the tolerance from the asymptotic guesses,
-        # so a capped polish must still report failure, not return them
-        monkeypatch.setattr(quad, "_NEWTON_MAX_ITER", 1)
+    @pytest.mark.parametrize("fault", ["duplicate", "negative"])
+    def test_lost_zero_reported(self, monkeypatch, fault):
+        # guesses that Newton sends to one zero twice, or to a negative zero,
+        # must not yield a rule
+        guesses = quad._asymptotic_positive_zeros(12).copy()
+        if fault == "duplicate":
+            guesses[-1] = guesses[-2]
+        else:
+            guesses[0] = -guesses[0]
+        monkeypatch.setattr(quad, "_asymptotic_positive_zeros", lambda n: guesses)
         quad._zeros_cached.cache_clear()
         try:
             with pytest.raises(NumericFailureError):
-                hermite_zeros(500)
+                quad._zeros_cached(12)
         finally:
             quad._zeros_cached.cache_clear()
 
@@ -103,7 +109,7 @@ class TestZeros:
             quad._zeros_cached.cache_clear()
 
     def test_ordered_symmetric_centred_every_order(self):
-        # spans the switch from dense-eigenvalue to asymptotic guesses
+        # low orders, where the asymptotic guesses are coarsest, included
         for n in range(1, 401):
             z = hermite_zeros(n)
             assert z.size == n
