@@ -26,9 +26,28 @@ from . import quadrature as quad
 from . import verification
 from .errors import NeedletError, ParameterError, ResourceError
 
+_CSV_CHUNK = 4096  # rows formatted at a time by _table_rows
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """``_fmt`` of every entry, in one pass over a list of Python floats."""
+    return [f"{x:.17g}" for x in np.asarray(values, dtype=float).tolist()]
+
+
+def _table_rows(count: int, columns):
+    """CSV rows of an index column followed by float columns.
+
+    ``columns(rows)`` gives the float columns at the index array ``rows``.
+    Rows are formatted a chunk at a time, so a large table is never held
+    in memory as text.
+    """
+    for lo in range(0, count, _CSV_CHUNK):
+        rows = np.arange(lo, min(lo + _CSV_CHUNK, count))
+        yield from zip(map(str, rows.tolist()), *(_fmt_column(c) for c in columns(rows)))
 
 
 def _check_config_value(key: str, value, hint) -> None:
@@ -179,15 +198,15 @@ def cmd_rule(args: argparse.Namespace) -> int:
     path = _out_path(cfg, args.out, f"rule_n{args.n}_d{args.d}.csv")
     if args.d == 1:
         base = rule.base
-        rows = (
-            [str(i), _fmt(base.nodes[i]), _fmt(base.gauss_weights[i]), _fmt(base.christoffel_weights[i])]
-            for i in range(base.n)
+        rows = _table_rows(
+            base.n,
+            lambda r: (base.nodes[r], base.gauss_weights[r], base.christoffel_weights[r]),
         )
         _write_csv(path, ["index", "node", "gauss_weight", "christoffel_weight"], rows)
     else:
-        rows = (
-            [str(i), _fmt(rule.nodes[i, 0]), _fmt(rule.nodes[i, 1]), _fmt(rule.weights[i])]
-            for i in range(rule.nodes.shape[0])
+        rows = _table_rows(
+            rule.nodes.shape[0],
+            lambda r: (rule.nodes[r, 0], rule.nodes[r, 1], rule.weights[r]),
         )
         _write_csv(path, ["index", "node_1", "node_2", "weight"], rows)
     print(path)
@@ -224,17 +243,18 @@ def cmd_frame(args: argparse.Namespace) -> int:
     for level in frame.levels:
         path = os.path.join(cfg.output_dir, f"frame_level_{level.j}.csv")
 
-        def rows(lev=level):
-            for i in range(lev.node_count):
-                lo, hi = lev.tile_box(i)
-                cells = [str(i)]
-                cells += [_fmt(c) for c in lev.nodes[i]]
-                cells.append(_fmt(lev.weights[i]))
-                for axis in range(lev.d):
-                    cells += [_fmt(lo[axis]), _fmt(hi[axis])]
-                yield cells
+        def columns(rows, lev=level):
+            cols = [lev.nodes[rows, axis] for axis in range(lev.d)] + [lev.weights[rows]]
+            # the tile of each node, as FrameLevel.tile_box gives it
+            for i in np.unravel_index(rows, (2 * lev.half_nodes,) * lev.d):
+                cols += [lev.interval_bounds[i], lev.interval_bounds[i + 1]]
+            return cols
 
-        _write_csv(path, ["index"] + coord_cols + ["weight"] + tile_cols, rows())
+        _write_csv(
+            path,
+            ["index"] + coord_cols + ["weight"] + tile_cols,
+            _table_rows(level.node_count, columns),
+        )
     print(manifest_path)
     return 0
 
@@ -250,9 +270,13 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     def rows():
         for j in sorted(coeffs.level_values):
             values = coeffs.level_values[j]
-            level = frame.levels[j]
-            for i, v in enumerate(values):
-                yield [str(j), str(i)] + [_fmt(c) for c in level.nodes[i]] + [_fmt(v)]
+            nodes = frame.levels[j].nodes
+
+            def columns(r):
+                return [nodes[r, axis] for axis in range(frame.d)] + [values[r]]
+
+            for row in _table_rows(len(values), columns):
+                yield (str(j),) + row
 
     _write_csv(path, ["level", "node_index"] + coord_cols + ["s_value"], rows())
     print(path)

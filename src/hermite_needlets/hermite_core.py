@@ -62,15 +62,29 @@ def _scaled_state(n: int, t: np.ndarray):
     logscale = -0.5 * t * t
     p_prev = np.zeros_like(t)
     p = np.full_like(t, _H0)
+    p_next = np.empty_like(t)
+    mag = np.empty_like(t)
     for k in range(n):
-        p_next = t * math.sqrt(2.0 / (k + 1)) * p - math.sqrt(k / (k + 1.0)) * p_prev
-        p_prev, p = p, p_next
-        big = np.abs(p) > _RESCALE_THRESHOLD
-        if big.any():
+        _recurrence_step(k, t, p, p_prev, p_next)
+        p_prev, p, p_next = p, p_next, p_prev
+        if np.abs(p, out=mag).max(initial=0.0) > _RESCALE_THRESHOLD:
+            big = mag > _RESCALE_THRESHOLD
             p[big] *= _RESCALE_DOWN
             p_prev[big] *= _RESCALE_DOWN
             logscale[big] += _RESCALE_LOG
     return p_prev, p, logscale
+
+
+def _recurrence_step(k: int, t, p, p_prev, out) -> None:
+    """out = t*sqrt(2/(k+1))*p - sqrt(k/(k+1))*p_prev, without temporaries.
+
+    The operations and their order are those of the plain expression, so
+    the result is bitwise the same; ``p_prev`` is overwritten.
+    """
+    np.multiply(t, math.sqrt(2.0 / (k + 1)), out=out)
+    out *= p
+    p_prev *= math.sqrt(k / (k + 1.0))
+    out -= p_prev
 
 
 def hermite_function(n: int, t: float) -> float:
@@ -182,12 +196,16 @@ def kernel_diag(n: int, points: np.ndarray) -> np.ndarray:
     p_prev = np.zeros_like(t)
     p = np.full_like(t, _H0)
     acc = p * p
+    p_next = np.empty_like(t)
+    sq = np.empty_like(t)
     for k in range(n):
-        p_next = t * math.sqrt(2.0 / (k + 1)) * p - math.sqrt(k / (k + 1.0)) * p_prev
-        p_prev, p = p, p_next
-        acc += p * p
-        big = np.abs(p) > _RESCALE_SQ_THRESHOLD
-        if big.any():
+        _recurrence_step(k, t, p, p_prev, p_next)
+        p_prev, p, p_next = p, p_next, p_prev
+        np.multiply(p, p, out=sq)
+        acc += sq
+        # |p| > 2**480 exactly when the rounded p*p > 2**960
+        if sq.max(initial=0.0) > _RESCALE_SQ_THRESHOLD**2:
+            big = sq > _RESCALE_SQ_THRESHOLD**2
             p[big] *= _RESCALE_SQ_DOWN
             p_prev[big] *= _RESCALE_SQ_DOWN
             acc[big] *= _RESCALE_SQ_DOWN * _RESCALE_SQ_DOWN

@@ -137,6 +137,26 @@ class TestFrame:
         assert vs[0] == 0.0 and vs[-1] == 0.0
         assert (tmp_path / "cutoff_b.csv").exists()
 
+    def test_level_rows_across_chunks(self, tmp_path, monkeypatch):
+        # rows are formatted in chunks; each must still be the node's own
+        # coordinates, weight and tile_box, formatted as before
+        import hermite_needlets.cli as cli
+        from hermite_needlets import needlet_frame as nf
+
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+        assert run(["frame", "--dimension", "2", "--j-max", "0",
+                    "--output-dir", str(tmp_path)]) == 0
+        level = nf.build_frame(d=2, j_max=0).levels[0]
+        lines = (tmp_path / "frame_level_0.csv").read_text().splitlines()
+        assert len(lines) == level.node_count + 1
+        for i, line in enumerate(lines[1:]):
+            lo, hi = level.tile_box(i)
+            cells = [str(i)] + [cli._fmt(c) for c in level.nodes[i]]
+            cells.append(cli._fmt(level.weights[i]))
+            for axis in range(2):
+                cells += [cli._fmt(lo[axis]), cli._fmt(hi[axis])]
+            assert line == ",".join(cells)
+
 
 HERMITE_SPEC = 'hermite:{"dim":1,"coeffs":[[[0],0.5],[[3],-1.25],[[9],2.0]]}'
 
