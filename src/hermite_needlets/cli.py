@@ -177,6 +177,8 @@ def _parse_function(
             raise ParameterError(f"malformed bump spec: {exc}") from exc
         if not parts:
             raise ParameterError("bump spec needs at least a width")
+        if not all(math.isfinite(v) for v in parts):
+            raise ParameterError(f"bump spec has a non-finite value: {spec!r}")
         width = parts[0]
         center = parts[1:] or [0.0]
         if len(center) == 1 and cfg.dimension > 1:
@@ -303,6 +305,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                 j, i, v = int(parts[j_col]), int(parts[i_col]), float(parts[v_col])
             except (IndexError, ValueError) as exc:
                 raise ParameterError(f"malformed coefficient row {line!r}") from exc
+            if not math.isfinite(v):
+                raise ParameterError(f"non-finite s_value in row {line!r}")
             if j < 0 or j > frame.j_max:
                 raise ParameterError(f"coefficient level {j} outside frame depth")
             count = frame.levels[j].node_count

@@ -28,8 +28,8 @@ from .hermite_core import HermiteExpansion
 from .needlet_frame import (
     NeedletCoefficients,
     NeedletFrame,
-    filter_weights,
     level_band,
+    level_filter,
 )
 
 INF = math.inf
@@ -104,22 +104,32 @@ def levels_for_degree(degree: int) -> int:
     return j
 
 
+def _level_depth(
+    f: HermiteExpansion, frame: NeedletFrame, j_levels: int | None
+) -> int:
+    """Deepest level of a norm's scale series; checks that f fits the frame.
+
+    ``j_levels`` may deepen the series beyond the frame's built levels (the
+    extra levels are filter-only).
+    """
+    if f.dim != frame.d:
+        raise DimensionMismatchError("expansion and frame dimensions differ")
+    j_top = frame.j_max if j_levels is None else j_levels
+    if f.degree > 4**max(j_top, frame.j_max):
+        raise FrameDepthError(
+            f"degree {f.degree} exceeds 4**{max(j_top, frame.j_max)}"
+        )
+    return j_top
+
+
 def _filtered_coeffs(
     f: HermiteExpansion, frame: NeedletFrame, side: str, j_levels: int
 ) -> dict[int, np.ndarray]:
     """Per-level filtered dense coefficient arrays (levels with content only)."""
     cutoff = frame.pair.a_hat if side == "a" else frame.pair.b_hat
-    coeff = f.coeff_array()
     out = {}
     for j in range(j_levels + 1):
-        w = filter_weights(cutoff, j, f.degree)
-        if f.dim == 1:
-            filtered = w * coeff
-        else:
-            total = np.add.outer(np.arange(f.degree + 1), np.arange(f.degree + 1))
-            wmat = w[np.minimum(total, f.degree)]
-            wmat[total > f.degree] = 0.0
-            filtered = wmat * coeff
+        filtered = level_filter(cutoff, j, f.degree, f.dim) * f.array
         if np.any(filtered):
             out[j] = filtered
     return out
@@ -183,14 +193,7 @@ def f_continuous_norm(
     """
     if params.p == INF:
         raise ParameterError("the F-scale is defined for p < infinity only")
-    if f.dim != frame.d:
-        raise DimensionMismatchError("expansion and frame dimensions differ")
-    j_top = frame.j_max if j_levels is None else j_levels
-    if f.degree > 4**max(j_top, frame.j_max):
-        raise FrameDepthError(
-            f"degree {f.degree} exceeds 4**{max(j_top, frame.j_max)}"
-        )
-    filtered = _filtered_coeffs(f, frame, "a", j_top)
+    filtered = _filtered_coeffs(f, frame, "a", _level_depth(f, frame, j_levels))
     if not filtered:
         return 0.0
     if params.p == 2.0 and params.q == 2.0:
@@ -213,14 +216,7 @@ def b_continuous_norm(
     j_levels: int | None = None,
 ) -> float:
     """Scale-then-space norm: l^q over levels of 2^(alpha j) ||g_j||_p."""
-    if f.dim != frame.d:
-        raise DimensionMismatchError("expansion and frame dimensions differ")
-    j_top = frame.j_max if j_levels is None else j_levels
-    if f.degree > 4**max(j_top, frame.j_max):
-        raise FrameDepthError(
-            f"degree {f.degree} exceeds 4**{max(j_top, frame.j_max)}"
-        )
-    filtered = _filtered_coeffs(f, frame, "a", j_top)
+    filtered = _filtered_coeffs(f, frame, "a", _level_depth(f, frame, j_levels))
     if not filtered:
         return 0.0
     if params.p == 2.0:
@@ -234,12 +230,7 @@ def b_continuous_norm(
         level_norms = {
             j: _lp_of_grid(g, params.p, grid.step**f.dim) for j, g in grids.items()
         }
-    if params.q == INF:
-        return max(2.0 ** (params.alpha * j) * v for j, v in level_norms.items())
-    total = sum(
-        (2.0 ** (params.alpha * j) * v) ** params.q for j, v in level_norms.items()
-    )
-    return total ** (1.0 / params.q)
+    return float(_scale_combine(level_norms, params.alpha, params.q))
 
 
 def _level_tile_indices(level, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,10 +320,7 @@ def b_sequence_norm(
         level_terms[j] = term
     if not level_terms:
         return 0.0
-    if q == INF:
-        return max(2.0 ** (alpha * j) * v for j, v in level_terms.items())
-    total = sum((2.0 ** (alpha * j) * v) ** q for j, v in level_terms.items())
-    return total ** (1.0 / q)
+    return float(_scale_combine(level_terms, alpha, q))
 
 
 def _lp_norm_expansion(
@@ -364,12 +352,13 @@ def best_approx_error(
     """
     if n < 0:
         raise ParameterError(f"approximation degree must be >= 0, got {n}")
-    tail = {a: c for a, c in f.coeffs.items() if sum(a) > n}
-    if not tail:
+    above = np.arange(f.degree + 1) > n
+    tail = hermite_core.total_degree_weights(above, f.dim) * f.array
+    if not np.any(tail):
         return BestApprox(0.0, True)
     if p == 2.0:
-        return BestApprox(math.sqrt(sum(c * c for c in tail.values())), True)
-    tail_f = HermiteExpansion(f.dim, f.degree, tail)
+        return BestApprox(float(np.linalg.norm(tail)), True)
+    tail_f = HermiteExpansion.from_array(tail)
     return BestApprox(_lp_norm_expansion(tail_f, p, grid), False)
 
 
@@ -403,7 +392,7 @@ def nikolskii_ratio(
     g: HermiteExpansion, p: float, q: float, grid: GridSpec | None = None
 ) -> float:
     """||g||_p divided by n^((d/2)|1/q - 1/p|) ||g||_q for band-limited g."""
-    if not g.coeffs:
+    if not np.any(g.array):
         raise ParameterError("the zero function has no norm ratio")
     num = _lp_norm_expansion(g, p, grid)
     den = _lp_norm_expansion(g, q, grid)

@@ -6,15 +6,17 @@ All evaluation goes through the normalized three-term recurrence
     h_0(t) = pi**(-1/4) * exp(-t**2/2),
 
 run on the polynomial part with a per-point log-scale ledger, so degrees up
-to ``DEGREE_CAP`` and arguments far outside the oscillatory region neither
-overflow nor silently flush to zero where the true value is appreciable.
+to ``DEGREE_CAP`` and arguments far outside the oscillatory region do not
+overflow.  One generator, ``_ledger_steps``, owns the recurrence step, the
+rescale test and the ledger; every evaluation here consumes it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     InsufficientQuadratureError,
     InvalidDegreeError,
+    NumericFailureError,
     ParameterError,
 )
 
@@ -35,56 +38,68 @@ _RESCALE_THRESHOLD = 2.0 ** 960
 _RESCALE_DOWN = 2.0 ** -960
 _RESCALE_LOG = 960.0 * math.log(2.0)
 
-# Squared accumulators need rescaling well before their base values would.
-_RESCALE_SQ_THRESHOLD = 2.0 ** 480
-_RESCALE_SQ_DOWN = 2.0 ** -480
-_RESCALE_SQ_LOG = 480.0 * math.log(2.0)
-
-# Plain (unscaled) recurrence is safe when exp(-t^2/2) stays normal, or when
-# every requested degree is evanescent wherever it is not (at the boundary
-# pair, degree 300 and t^2 = 1400, true magnitudes are below 1e-100).
-_PLAIN_TSQ_LIMIT = 1400.0
-_PLAIN_DEGREE_LIMIT = 300
-
 
 def _check_degree(n: int) -> None:
     if n < 0 or n > DEGREE_CAP:
         raise InvalidDegreeError(f"degree {n} outside [0, {DEGREE_CAP}]")
 
 
-def _scaled_state(n: int, t: np.ndarray):
-    """Run the recurrence on the polynomial part up to degree ``n``.
+def _ledger_steps(n: int, t: np.ndarray, squares: bool = False):
+    """Run the recurrence on the polynomial part for degrees k = 0..n, in place.
 
-    Returns ``(p_prev, p, logscale)`` with ``h_{n-1} = p_prev*exp(logscale)``
-    and ``h_n = p*exp(logscale)``; ``p_prev`` is zero for ``n = 0``.
+    Yields ``(p_prev, p, mag, logscale, rescaled)`` once per degree, with
+    ``h_k = p*exp(logscale)`` and ``h_{k-1} = p_prev*exp(logscale)``, or with
+    ``h_k**2 = p*p*exp(logscale)`` when ``squares`` is set.  ``mag`` is |p|
+    (p*p when ``squares``) before the rescale test, and ``rescaled`` is None
+    or the mask of points whose p, p_prev and ledger were rescaled after that
+    test.  The arrays are reused from one degree to the next.
     """
-    t = np.asarray(t, dtype=float)
-    logscale = -0.5 * t * t
+    logscale = -t * t if squares else -0.5 * t * t
     p_prev = np.zeros_like(t)
     p = np.full_like(t, _H0)
     p_next = np.empty_like(t)
-    mag = np.empty_like(t)
+    # a square crosses 2**960 exactly when |p| crosses 2**480
+    measure, down = (np.square, 2.0**-480) if squares else (np.abs, _RESCALE_DOWN)
+    mag = measure(p)
+    yield p_prev, p, mag, logscale, None
     for k in range(n):
-        _recurrence_step(k, t, p, p_prev, p_next)
+        # t*sqrt(2/(k+1))*p - sqrt(k/(k+1))*p_prev without temporaries; the
+        # operations and their order are the expression's, so bitwise equal
+        np.multiply(t, math.sqrt(2.0 / (k + 1)), out=p_next)
+        p_next *= p
+        p_prev *= math.sqrt(k / (k + 1.0))
+        p_next -= p_prev
         p_prev, p, p_next = p, p_next, p_prev
-        if np.abs(p, out=mag).max(initial=0.0) > _RESCALE_THRESHOLD:
-            big = mag > _RESCALE_THRESHOLD
-            p[big] *= _RESCALE_DOWN
-            p_prev[big] *= _RESCALE_DOWN
-            logscale[big] += _RESCALE_LOG
+        rescaled = None
+        if measure(p, out=mag).max(initial=0.0) > _RESCALE_THRESHOLD:
+            rescaled = mag > _RESCALE_THRESHOLD
+            p[rescaled] *= down
+            p_prev[rescaled] *= down
+            logscale[rescaled] += _RESCALE_LOG
+        yield p_prev, p, mag, logscale, rescaled
+
+
+def _scaled_state(n: int, t: np.ndarray):
+    """Polynomial parts at degree ``n``: ``(p_prev, p, logscale)``.
+
+    ``h_{n-1} = p_prev*exp(logscale)`` and ``h_n = p*exp(logscale)``;
+    ``p_prev`` is zero for ``n = 0``.
+    """
+    for p_prev, p, _, logscale, _ in _ledger_steps(n, np.asarray(t, dtype=float)):
+        pass
     return p_prev, p, logscale
 
 
-def _recurrence_step(k: int, t, p, p_prev, out) -> None:
-    """out = t*sqrt(2/(k+1))*p - sqrt(k/(k+1))*p_prev, without temporaries.
+def _scaled_derivative(n: int, t: np.ndarray):
+    """``(p, dp, logscale)`` with h_n = p*exp(logscale), h_n' = dp*exp(logscale).
 
-    The operations and their order are those of the plain expression, so
-    the result is bitwise the same; ``p_prev`` is overwritten.
+    One more step gives h_{n+1} under the same ledger, then the ladder
+    h_n' = -sqrt((n+1)/2) h_{n+1} + sqrt(n/2) h_{n-1}.
     """
-    np.multiply(t, math.sqrt(2.0 / (k + 1)), out=out)
-    out *= p
-    p_prev *= math.sqrt(k / (k + 1.0))
-    out -= p_prev
+    p_nm1, p_n, logscale = _scaled_state(n, t)
+    p_np1 = t * math.sqrt(2.0 / (n + 1)) * p_n - math.sqrt(n / (n + 1.0)) * p_nm1
+    deriv = -math.sqrt((n + 1) / 2.0) * p_np1 + math.sqrt(n / 2.0) * p_nm1
+    return p_n, deriv, logscale
 
 
 def hermite_function(n: int, t: float) -> float:
@@ -97,46 +112,27 @@ def hermite_function(n: int, t: float) -> float:
 def hermite_function_derivative(n: int, t: float) -> float:
     """h_n'(t) = -sqrt((n+1)/2) h_{n+1}(t) + sqrt(n/2) h_{n-1}(t)."""
     _check_degree(n)
-    arr = np.asarray([float(t)])
-    p_nm1, p_n, ls = _scaled_state(n, arr)
-    # one more step for h_{n+1} under the same ledger
-    p_np1 = arr * math.sqrt(2.0 / (n + 1)) * p_n - math.sqrt(n / (n + 1.0)) * p_nm1
-    val = -math.sqrt((n + 1) / 2.0) * p_np1 + math.sqrt(n / 2.0) * p_nm1
-    return float(val[0] * np.exp(ls[0]))
+    _, deriv, ls = _scaled_derivative(n, np.asarray([float(t)]))
+    return float(deriv[0] * np.exp(ls[0]))
 
 
 def hermite_values(max_degree: int, points: np.ndarray) -> np.ndarray:
     """Matrix of h_k(points) for k = 0..max_degree, shape (max_degree+1, npts).
 
-    Uses the plain recurrence when safe, otherwise the scaled one;
-    entries whose true magnitude is below roughly 1e-290 may flush to zero.
+    Each row is the polynomial part times exp(logscale), with exp(logscale)
+    recomputed only at points the ledger rescaled.  Entries whose true
+    magnitude is below roughly 1e-290 may flush to zero, and so may larger
+    ones where the ledger's exp(logscale) underflows: beyond |t| of about 37.6
+    and below the degree where the polynomial part first rescales.
     """
     _check_degree(max_degree)
     t = np.asarray(points, dtype=float).ravel()
     out = np.empty((max_degree + 1, t.size))
-    tsq_max = float(np.max(t * t)) if t.size else 0.0
-    if tsq_max <= _PLAIN_TSQ_LIMIT or max_degree <= _PLAIN_DEGREE_LIMIT:
-        h_prev = np.zeros_like(t)
-        h = _H0 * np.exp(-0.5 * t * t)
-        out[0] = h
-        for k in range(max_degree):
-            h_next = t * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * h_prev
-            h_prev, h = h, h_next
-            out[k + 1] = h
-        return out
-    logscale = -0.5 * t * t
-    p_prev = np.zeros_like(t)
-    p = np.full_like(t, _H0)
-    out[0] = p * np.exp(logscale)
-    for k in range(max_degree):
-        p_next = t * math.sqrt(2.0 / (k + 1)) * p - math.sqrt(k / (k + 1.0)) * p_prev
-        p_prev, p = p, p_next
-        big = np.abs(p) > _RESCALE_THRESHOLD
-        if big.any():
-            p[big] *= _RESCALE_DOWN
-            p_prev[big] *= _RESCALE_DOWN
-            logscale[big] += _RESCALE_LOG
-        out[k + 1] = p * np.exp(logscale)
+    scale = np.exp(-0.5 * t * t)
+    for k, (_, p, _, logscale, rescaled) in enumerate(_ledger_steps(max_degree, t)):
+        if rescaled is not None:
+            scale[rescaled] = np.exp(logscale[rescaled])
+        np.multiply(p, scale, out=out[k])
     return out
 
 
@@ -165,22 +161,12 @@ def weighted_hermite_moments(
     w = np.asarray(weights, dtype=float).ravel()
     if t.size != w.size:
         raise DimensionMismatchError("points and weights differ in length")
-    logscale = -0.5 * t * t
-    p_prev = np.zeros_like(t)
-    p = np.full_like(t, _H0)
-    w_eff = w * np.exp(logscale)
+    w_eff = w * np.exp(-0.5 * t * t)
     out = np.empty(max_degree + 1)
-    out[0] = float(np.dot(w_eff, p))
-    for k in range(max_degree):
-        p_next = t * math.sqrt(2.0 / (k + 1)) * p - math.sqrt(k / (k + 1.0)) * p_prev
-        p_prev, p = p, p_next
-        big = np.abs(p) > _RESCALE_THRESHOLD
-        if big.any():
-            p[big] *= _RESCALE_DOWN
-            p_prev[big] *= _RESCALE_DOWN
-            logscale[big] += _RESCALE_LOG
-            w_eff[big] = w[big] * np.exp(logscale[big])
-        out[k + 1] = float(np.dot(w_eff, p))
+    for k, (_, p, _, logscale, rescaled) in enumerate(_ledger_steps(max_degree, t)):
+        if rescaled is not None:
+            w_eff[rescaled] = w[rescaled] * np.exp(logscale[rescaled])
+        out[k] = np.dot(w_eff, p)
     return out
 
 
@@ -192,24 +178,11 @@ def kernel_diag(n: int, points: np.ndarray) -> np.ndarray:
     """
     _check_degree(n)
     t = np.asarray(points, dtype=float).ravel()
-    logscale = -t * t  # ledger for squared quantities
-    p_prev = np.zeros_like(t)
-    p = np.full_like(t, _H0)
-    acc = p * p
-    p_next = np.empty_like(t)
-    sq = np.empty_like(t)
-    for k in range(n):
-        _recurrence_step(k, t, p, p_prev, p_next)
-        p_prev, p, p_next = p, p_next, p_prev
-        np.multiply(p, p, out=sq)
+    acc = np.zeros_like(t)
+    for _, _, sq, logscale, rescaled in _ledger_steps(n, t, squares=True):
         acc += sq
-        # |p| > 2**480 exactly when the rounded p*p > 2**960
-        if sq.max(initial=0.0) > _RESCALE_SQ_THRESHOLD**2:
-            big = sq > _RESCALE_SQ_THRESHOLD**2
-            p[big] *= _RESCALE_SQ_DOWN
-            p_prev[big] *= _RESCALE_SQ_DOWN
-            acc[big] *= _RESCALE_SQ_DOWN * _RESCALE_SQ_DOWN
-            logscale[big] += 2.0 * _RESCALE_SQ_LOG
+        if rescaled is not None:
+            acc[rescaled] *= _RESCALE_DOWN
     return acc * np.exp(logscale)
 
 
@@ -268,31 +241,60 @@ def partial_sum_kernel(n: int, x, y, method: str = "direct") -> float:
     px, py = _as_point(x), _as_point(y)
     if px.size != py.size:
         raise DimensionMismatchError("x and y have different dimensions")
-    d = px.size
     if method not in ("direct", "cd"):
         raise ParameterError(f"unknown method {method!r}")
-    if d == 1:
+    if method == "cd" and px.size == 2:
+        raise ParameterError("only the direct sum is available for d = 2")
+    if method == "cd" and px.size == 1:
         xv, yv = float(px[0]), float(py[0])
-        if method == "cd":
-            if xv == yv:
-                raise ParameterError("Christoffel-Darboux form needs x != y")
-            vals = hermite_values(n + 1, np.array([xv, yv]))
-            num = vals[n + 1, 0] * vals[n, 1] - vals[n, 0] * vals[n + 1, 1]
-            return float(math.sqrt((n + 1) / 2.0) * num / (xv - yv))
-        vals = hermite_values(n, np.array([xv, yv]))
-        return float(np.dot(vals[:, 0], vals[:, 1]))
-    if d == 2:
-        if method != "direct":
-            raise ParameterError("only the direct sum is available for d = 2")
-        vals = hermite_values(n, np.array([px[0], py[0], px[1], py[1]]))
-        u = vals[:, 0] * vals[:, 1]
-        v = vals[:, 2] * vals[:, 3]
-        # cumulative convolution: sum_{k+l <= n} u_k v_l
-        total = 0.0
-        for m in range(n + 1):
-            total += float(np.dot(u[: m + 1], v[m::-1]))
-        return total
-    raise DimensionMismatchError(f"unsupported dimension {d}, expected 1 or 2")
+        if xv == yv:
+            raise ParameterError("Christoffel-Darboux form needs x != y")
+        vals = hermite_values(n + 1, np.array([xv, yv]))
+        num = vals[n + 1, 0] * vals[n, 1] - vals[n, 0] * vals[n + 1, 1]
+        return float(math.sqrt((n + 1) / 2.0) * num / (xv - yv))
+    return float(filtered_kernel(np.ones(n + 1), px[None], py[None], px.size)[0])
+
+
+def total_degree_weights(w: np.ndarray, dim: int) -> np.ndarray:
+    """Spread a weight per total degree over a dense coefficient array.
+
+    ``w[nu]`` for nu = 0..n becomes the weight of every multi-index alpha
+    with |alpha| = nu: ``w`` itself for d = 1, and for d = 2 the Hankel
+    matrix W[k, l] = w[k + l], zero where k + l > n.
+    """
+    w = np.asarray(w, dtype=float)
+    if dim == 1:
+        return w
+    if dim == 2:
+        padded = np.concatenate((w, np.zeros(w.size - 1)))
+        return np.lib.stride_tricks.sliding_window_view(padded, w.size).copy()
+    raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")
+
+
+def filtered_kernel(
+    w: np.ndarray, x, y, dim: int = 1, dx_order: int = 0
+) -> np.ndarray:
+    """sum_nu w_nu H_nu(x, y), or its derivative in x_1, at paired points.
+
+    H_nu is the kernel of the projector onto total degree exactly nu;
+    ``x`` and ``y`` have shape (npts,) for d = 1 or (npts, d) for d = 2.
+    """
+    if dx_order not in (0, 1):
+        raise ParameterError(f"dx_order must be 0 or 1, got {dx_order}")
+    m = w.size - 1
+    x_values = hermite_values if dx_order == 0 else hermite_derivative_values
+    if dim == 1:
+        xv = np.asarray(x, dtype=float).ravel()
+        yv = np.asarray(y, dtype=float).ravel()
+        return w @ (x_values(m, xv) * hermite_values(m, yv))
+    if dim == 2:
+        xp = np.asarray(x, dtype=float).reshape(-1, 2)
+        yp = np.asarray(y, dtype=float).reshape(-1, 2)
+        u = x_values(m, xp[:, 0]) * hermite_values(m, yp[:, 0])
+        v = hermite_values(m, xp[:, 1]) * hermite_values(m, yp[:, 1])
+        # sum_nu w_nu sum_{k+l=nu} u_k v_l as one contraction with W[k, l] = w[k+l]
+        return np.einsum("kp,kp->p", u, total_degree_weights(w, 2) @ v)
+    raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")
 
 
 def projector_diag(max_degree: int, points: np.ndarray, dim: int = 1) -> np.ndarray:
@@ -355,19 +357,22 @@ def kernel_diagonal_report(n: int, points, dim: int = 1) -> KernelDiagonalReport
 class HermiteExpansion:
     """A function in the degree-n band represented by Hermite coefficients.
 
-    ``coeffs`` maps multi-indices (length ``dim`` tuples) to real values;
-    zero entries may be omitted.  The L2 norm is the Euclidean norm of the
-    coefficients.
+    ``array`` is the read-only dense coefficient array of shape
+    (n+1,)*dim, zero above total degree n; the constructor takes a map from
+    multi-indices (length ``dim`` tuples) to finite values, zero entries
+    omitted.  The L2 norm is the Euclidean norm of the coefficients.
     """
 
-    __slots__ = ("dim", "degree", "coeffs")
+    __slots__ = ("dim", "degree", "array")
 
     def __init__(self, dim: int, degree: int, coeffs: dict):
         if dim < 1:
             raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
         if degree < 0:
             raise InvalidDegreeError(f"degree must be >= 0, got {degree}")
-        clean = {}
+        # the storage is dense, so the degree sets its size
+        _check_degree(degree)
+        arr = np.zeros((int(degree) + 1,) * int(dim))
         for alpha, c in coeffs.items():
             idx = tuple(int(a) for a in alpha)
             if len(idx) != dim:
@@ -380,59 +385,73 @@ class HermiteExpansion:
                 raise InvalidDegreeError(
                     f"index {idx} exceeds declared degree {degree}"
                 )
-            clean[idx] = float(c)
-        self.dim = int(dim)
+            value = float(c)
+            if not math.isfinite(value):
+                raise ParameterError(
+                    f"coefficient {value} at index {idx} is not finite"
+                )
+            arr[idx] = value
+        self._store(degree, arr)
+
+    def _store(self, degree: int, arr: np.ndarray) -> None:
+        arr.setflags(write=False)
+        self.dim = arr.ndim
         self.degree = int(degree)
-        self.coeffs = clean
+        self.array = arr
+
+    @classmethod
+    def _dense(cls, degree: int, arr: np.ndarray) -> "HermiteExpansion":
+        """Wrap an owned array of shape (degree+1,)*dim, zero above ``degree``."""
+        if not np.isfinite(arr).all():
+            raise NumericFailureError("a Hermite coefficient is not finite")
+        f = cls.__new__(cls)
+        f._store(degree, arr)
+        return f
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only map from the multi-indices of nonzero coefficients to them."""
+        idx = np.nonzero(self.array)
+        keys = zip(*(i.tolist() for i in idx))
+        return MappingProxyType(dict(zip(keys, self.array[idx].tolist())))
 
     def l2_norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coeffs.values()))
+        return float(np.linalg.norm(self.array))
 
     def coeff_array(self) -> np.ndarray:
         """Dense coefficient array: (degree+1,) for d=1, (degree+1,)*2 for d=2."""
-        shape = (self.degree + 1,) * self.dim
-        arr = np.zeros(shape)
-        for idx, c in self.coeffs.items():
-            arr[idx] = c
-        return arr
+        return self.array.copy()
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, tol: float = 0.0) -> "HermiteExpansion":
+    def from_array(cls, arr: np.ndarray) -> "HermiteExpansion":
+        """Expansion of a dense array, its degree trimmed to the last nonzero term.
+
+        Raises NumericFailureError if an entry is not finite.
+        """
         arr = np.asarray(arr, dtype=float)
-        dim = arr.ndim
-        coeffs = {}
-        max_total = 0
-        for idx in np.argwhere(np.abs(arr) > tol):
-            key = tuple(int(i) for i in idx)
-            coeffs[key] = float(arr[key])
-            max_total = max(max_total, sum(key))
-        return cls(dim=dim, degree=max_total, coeffs=coeffs)
+        nonzero = np.nonzero(arr)  # NaN and inf count, so _dense sees them
+        degree = int(sum(nonzero).max()) if nonzero[0].size else 0
+        out = np.zeros((degree + 1,) * arr.ndim)
+        kept = tuple(slice(0, min(size, degree + 1)) for size in arr.shape)
+        out[kept] = arr[kept]
+        return cls._dense(degree, out)
 
     def scaled(self, factor: float) -> "HermiteExpansion":
-        return HermiteExpansion(
-            self.dim, self.degree, {a: factor * c for a, c in self.coeffs.items()}
-        )
+        return HermiteExpansion._dense(self.degree, factor * self.array)
 
     def __repr__(self):
         return (
             f"HermiteExpansion(dim={self.dim}, degree={self.degree}, "
-            f"nnz={len(self.coeffs)})"
+            f"nnz={np.count_nonzero(self.array)})"
         )
 
 
 def evaluate_expansion(f: HermiteExpansion, x) -> float:
     """Pointwise value sum_alpha c_alpha H_alpha(x)."""
     pt = _as_point(x, f.dim)
-    if not f.coeffs:
-        return 0.0
-    max_per_axis = [max(a[i] for a in f.coeffs) for i in range(f.dim)]
-    mats = [hermite_values(max_per_axis[i], np.asarray([pt[i]])) for i in range(f.dim)]
-    total = 0.0
-    for alpha, c in f.coeffs.items():
-        term = c
-        for i, a in enumerate(alpha):
-            term *= mats[i][a, 0]
-        total += term
+    total = f.array
+    for coord in pt[::-1]:
+        total = total @ hermite_values(f.degree, np.asarray([coord]))[:, 0]
     return float(total)
 
 
@@ -440,27 +459,20 @@ def evaluate_expansion_grid(f: HermiteExpansion, axes: list[np.ndarray]) -> np.n
     """Evaluate on a tensor grid given per-axis coordinate arrays."""
     if len(axes) != f.dim:
         raise DimensionMismatchError(f"need {f.dim} axes, got {len(axes)}")
-    arr = f.coeff_array()
     if f.dim == 1:
-        return hermite_values(f.degree, axes[0]).T @ arr
+        return hermite_values(f.degree, axes[0]).T @ f.array
     if f.dim == 2:
         h1 = hermite_values(f.degree, axes[0])
         h2 = hermite_values(f.degree, axes[1])
-        return h1.T @ arr @ h2
+        return h1.T @ f.array @ h2
     raise DimensionMismatchError(f"unsupported dimension {f.dim}")
 
 
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     """Expansion produced by numeric projection plus its tail indicator."""
 
-    __slots__ = ("expansion", "tail")
-
-    def __init__(self, expansion: HermiteExpansion, tail: float):
-        self.expansion = expansion
-        self.tail = tail
-
-    def __iter__(self):
-        return iter((self.expansion, self.tail))
+    expansion: HermiteExpansion
+    tail: float
 
 
 def project_function(
@@ -495,25 +507,9 @@ def project_function(
         hmat = hermite_values(degree, rule.nodes)
         weighted = (w[:, None] * w[None, :]) * fvals
         full = hmat @ weighted @ hmat.T
-        coeff = np.zeros_like(full)
-        for a1 in range(degree + 1):
-            coeff[a1, : degree + 1 - a1] = full[a1, : degree + 1 - a1]
+        coeff = total_degree_weights(np.ones(degree + 1), dim) * full
     else:
         raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")
-
-    if dim == 1:
-        tail = float(np.max(np.abs(coeff[max(degree - 1, 0) :])))
-        coeffs = {
-            (k,): float(c) for k, c in enumerate(coeff) if c != 0.0
-        }
-    else:
-        tail = 0.0
-        coeffs = {}
-        for a1 in range(degree + 1):
-            for a2 in range(degree + 1 - a1):
-                c = float(coeff[a1, a2])
-                if a1 + a2 >= degree - 1:
-                    tail = max(tail, abs(c))
-                if c != 0.0:
-                    coeffs[(a1, a2)] = c
-    return ProjectionResult(HermiteExpansion(dim, degree, coeffs), tail)
+    expansion = HermiteExpansion._dense(degree, coeff)
+    top = total_degree_weights(np.arange(degree + 1) >= degree - 1, dim) != 0
+    return ProjectionResult(expansion, float(np.max(np.abs(coeff[top]))))

@@ -100,9 +100,8 @@ def build_level(
         raise ResourceError(
             f"level {j} needs {order}**{d} nodes, over budget {node_budget}"
         )
-    rule = quadrature.gauss_hermite_rule(order)
-    zeros = rule.nodes
-    lam = rule.christoffel_weights
+    cubature = quadrature.product_cubature(order, d, node_budget)
+    zeros = cubature.base.nodes
 
     # 1-d tile boundaries: midpoints between zeros, the origin splitting the
     # two central tiles, and an edge overhang of 2**(-j/6) beyond the last zero.
@@ -114,24 +113,16 @@ def build_level(
     bounds[n_half] = 0.0
     bounds[order] = zeros[-1] + overhang
 
-    if d == 1:
-        nodes = zeros.reshape(-1, 1)
-        weights = lam.copy()
-    else:
-        nodes = np.stack(np.meshgrid(zeros, zeros, indexing="ij"), axis=-1).reshape(
-            -1, 2
-        )
-        weights = np.multiply.outer(lam, lam).ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
+    cubature.nodes.setflags(write=False)
+    cubature.weights.setflags(write=False)
     bounds.setflags(write=False)
     return FrameLevel(
         j=j,
         d=d,
         half_nodes=n_half,
-        rule=rule,
-        nodes=nodes,
-        weights=weights,
+        rule=cubature.base,
+        nodes=cubature.nodes,
+        weights=cubature.weights,
         interval_bounds=bounds,
     )
 
@@ -209,6 +200,14 @@ def filter_weights(cutoff: Callable, j: int, max_degree: int) -> np.ndarray:
     return np.asarray(cutoff(np.arange(max_degree + 1) / scale), dtype=float)
 
 
+def level_filter(cutoff: Callable, j: int, degree: int, d: int) -> np.ndarray:
+    """The level-j filter a(|alpha| / 4**(j-1)) on a dense coefficient array.
+
+    Shape (degree+1,)*d, zero above total degree ``degree``.
+    """
+    return hermite_core.total_degree_weights(filter_weights(cutoff, j, degree), d)
+
+
 def level_band(j: int) -> tuple[int, int]:
     """Degrees that can survive the level-j filter (support (1/4, 4))."""
     if j == 0:
@@ -233,42 +232,12 @@ def smoothed_kernel(
     ``dx_order`` in {0, 1} selects the kernel or its first derivative in x_1.
     ``max_degree`` defaults to the last degree where the filter is nonzero.
     """
-    if dx_order not in (0, 1):
-        raise ParameterError(f"dx_order must be 0 or 1, got {dx_order}")
     if max_degree is None:
         probe = np.asarray(a_hat(np.arange(0, 6 * n + 1) / n), dtype=float)
         nz = np.nonzero(probe)[0]
         max_degree = int(nz[-1]) if nz.size else 0
     w = np.asarray(a_hat(np.arange(max_degree + 1) / n), dtype=float)
-    if dim == 1:
-        xv = np.asarray(x, dtype=float).ravel()
-        yv = np.asarray(y, dtype=float).ravel()
-        hy = hermite_core.hermite_values(max_degree, yv)
-        hx = (
-            hermite_core.hermite_values(max_degree, xv)
-            if dx_order == 0
-            else hermite_core.hermite_derivative_values(max_degree, xv)
-        )
-        return np.einsum("k,kp,kp->p", w, hx, hy)
-    if dim == 2:
-        xp = np.asarray(x, dtype=float).reshape(-1, 2)
-        yp = np.asarray(y, dtype=float).reshape(-1, 2)
-        h1y = hermite_core.hermite_values(max_degree, yp[:, 0])
-        h2x = hermite_core.hermite_values(max_degree, xp[:, 1])
-        h2y = hermite_core.hermite_values(max_degree, yp[:, 1])
-        h1x = (
-            hermite_core.hermite_values(max_degree, xp[:, 0])
-            if dx_order == 0
-            else hermite_core.hermite_derivative_values(max_degree, xp[:, 0])
-        )
-        u = h1x * h1y
-        v = h2x * h2y
-        out = np.zeros(xp.shape[0])
-        for nu in range(max_degree + 1):
-            if w[nu] != 0.0:
-                out += w[nu] * np.einsum("kp,kp->p", u[: nu + 1], v[nu::-1])
-        return out
-    raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")
+    return hermite_core.filtered_kernel(w, x, y, dim, dx_order)
 
 
 def phi_kernel(frame: NeedletFrame, j: int, x, y) -> float:
@@ -281,30 +250,25 @@ def psi_kernel(frame: NeedletFrame, j: int, x, y) -> float:
     return _level_kernel(frame, j, x, y, frame.pair.b_hat)
 
 
-def _level_kernel(frame, j, x, y, cutoff) -> float:
-    if j < 0 or j > frame.j_max:
+def _frame_level(frame: NeedletFrame, j: int) -> FrameLevel:
+    if not 0 <= j <= frame.j_max:
         raise ParameterError(f"level {j} outside 0..{frame.j_max}")
-    px = hermite_core._as_point(x, frame.d)
-    py = hermite_core._as_point(y, frame.d)
-    if j == 0:
-        return hermite_core.projector_kernel(0, px, py)
-    _, hi = level_band(j)
-    val = smoothed_kernel(
-        cutoff,
-        int(4 ** (j - 1)),
-        px.reshape(1, -1) if frame.d == 2 else px,
-        py.reshape(1, -1) if frame.d == 2 else py,
-        dim=frame.d,
-        max_degree=hi,
-    )
-    return float(val[0])
+    return frame.levels[j]
+
+
+def _level_kernel(frame, j, x, y, cutoff) -> float:
+    _frame_level(frame, j)
+    px = hermite_core._as_point(x, frame.d).reshape(1, -1)
+    py = hermite_core._as_point(y, frame.d).reshape(1, -1)
+    w = filter_weights(cutoff, j, level_band(j)[1])
+    return float(hermite_core.filtered_kernel(w, px, py, frame.d)[0])
 
 
 def needlet_eval(frame: NeedletFrame, side: str, j: int, node_index: int, x) -> float:
     """Frame element value: weights**(1/2) times the level kernel at the node."""
     if side not in ("analysis", "synthesis"):
         raise ParameterError(f"side must be 'analysis' or 'synthesis', got {side!r}")
-    level = frame.levels[j]
+    level = _frame_level(frame, j)
     if not 0 <= node_index < level.node_count:
         raise ParameterError(f"node index {node_index} outside level {j}")
     xi = level.nodes[node_index]
@@ -347,10 +311,6 @@ class NeedletCoefficients:
         )
 
 
-def _level_node_matrix(level: FrameLevel, max_degree: int) -> np.ndarray:
-    return hermite_core.hermite_values(max_degree, level.rule.nodes)
-
-
 def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
     """Needlet coefficients lambda**(1/2) * (Phi_j * f)(xi) for all levels.
 
@@ -365,28 +325,16 @@ def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
         raise FrameDepthError(
             f"degree {f.degree} exceeds 4**{frame.j_max}; deepen the frame"
         )
-    coeff = f.coeff_array()
     out: dict[int, np.ndarray] = {}
     for level in frame.levels:
-        j = level.j
-        w = filter_weights(frame.pair.a_hat, j, f.degree)
-        if f.dim == 1:
-            filtered = w * coeff
-            if not np.any(filtered):
-                continue
-            hmat = _level_node_matrix(level, f.degree)
-            vals = hmat.T @ filtered
-            out[j] = np.sqrt(level.weights) * vals
-        else:
-            total = np.add.outer(np.arange(f.degree + 1), np.arange(f.degree + 1))
-            wmat = w[np.minimum(total, f.degree)]
-            wmat[total > f.degree] = 0.0
-            filtered = wmat * coeff
-            if not np.any(filtered):
-                continue
-            hmat = _level_node_matrix(level, f.degree)
-            vals = hmat.T @ filtered @ hmat
-            out[j] = np.sqrt(level.weights) * vals.ravel()
+        filtered = level_filter(frame.pair.a_hat, level.j, f.degree, f.dim) * f.array
+        if not np.any(filtered):
+            continue
+        hmat = hermite_core.hermite_values(f.degree, level.rule.nodes)
+        vals = hmat.T @ filtered
+        if f.dim == 2:
+            vals = vals @ hmat
+        out[level.j] = np.sqrt(level.weights) * vals.ravel()
     return NeedletCoefficients(frame=frame, level_values=out)
 
 
@@ -406,18 +354,15 @@ def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpan
         level = frame.levels[j]
         _, hi = level_band(j)
         hi = min(hi, cap)
-        w = filter_weights(frame.pair.b_hat, j, hi)
         g = np.sqrt(level.weights) * values
-        hmat = _level_node_matrix(level, hi)
+        hmat = hermite_core.hermite_values(hi, level.rule.nodes)
         if frame.d == 1:
-            acc[: hi + 1] += w * (hmat @ g)
+            block = hmat @ g
         else:
-            grid = g.reshape(level.rule.n, level.rule.n)
-            block = hmat @ grid @ hmat.T
-            total = np.add.outer(np.arange(hi + 1), np.arange(hi + 1))
-            wmat = w[np.minimum(total, hi)]
-            wmat[total > hi] = 0.0
-            acc[: hi + 1, : hi + 1] += wmat * block
+            block = hmat @ g.reshape(level.rule.n, level.rule.n) @ hmat.T
+        acc[(slice(0, hi + 1),) * frame.d] += (
+            level_filter(frame.pair.b_hat, j, hi, frame.d) * block
+        )
     return HermiteExpansion.from_array(acc)
 
 
@@ -439,35 +384,13 @@ LOCALIZATION_WINDOW = 40.0
 
 
 def _ray_kernel_values(frame, j, xi, pts_x, dx_order):
-    if j == 0:
-        if frame.d == 1:
-            vals = np.array(
-                [hermite_core.projector_kernel(0, p, xi) for p in pts_x]
-            )
-            if dx_order == 1:
-                vals = vals * (-pts_x)
-        else:
-            vals = np.array(
-                [hermite_core.projector_kernel(0, p, xi) for p in pts_x]
-            )
-            if dx_order == 1:
-                vals = vals * (-pts_x[:, 0])
-        return vals
-    _, hi = level_band(j)
     pts_y = (
         np.full_like(pts_x, xi[0])
         if frame.d == 1
         else np.broadcast_to(xi, pts_x.shape)
     )
-    return smoothed_kernel(
-        frame.pair.a_hat,
-        int(4 ** (j - 1)),
-        pts_x,
-        pts_y,
-        dim=frame.d,
-        dx_order=dx_order,
-        max_degree=hi,
-    )
+    w = filter_weights(frame.pair.a_hat, j, level_band(j)[1])
+    return hermite_core.filtered_kernel(w, pts_x, pts_y, frame.d, dx_order)
 
 
 def localization_profile(
@@ -487,7 +410,7 @@ def localization_profile(
     """
     if k > 10 or k < 0:
         raise ParameterError(f"decay exponent k must lie in 0..10, got {k}")
-    level = frame.levels[j]
+    level = _frame_level(frame, j)
     if not 0 <= node_index < level.node_count:
         raise ParameterError(f"node index {node_index} outside level {j}")
     xi = level.nodes[node_index]

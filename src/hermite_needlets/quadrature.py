@@ -77,9 +77,7 @@ def _newton_polish(n: int, t: np.ndarray) -> np.ndarray:
     """Newton-polish approximate zeros of H_n; ratio h_n/h_n' is scale-free."""
     t = t.copy()
     for _ in range(_NEWTON_MAX_ITER):
-        p_nm1, p_n, _ = hermite_core._scaled_state(n, t)
-        p_np1 = t * math.sqrt(2.0 / (n + 1)) * p_n - math.sqrt(n / (n + 1.0)) * p_nm1
-        deriv = -math.sqrt((n + 1) / 2.0) * p_np1 + math.sqrt(n / 2.0) * p_nm1
+        p_n, deriv, _ = hermite_core._scaled_derivative(n, t)
         step = p_n / deriv
         t -= step
         if np.all(np.abs(step) <= _NEWTON_TOL * (1.0 + np.abs(t))):

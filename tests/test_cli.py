@@ -441,6 +441,29 @@ class TestBadInputExits2:
         assert run(argv + ["--out", str(out)]) == 2
         self._assert_one_line(capsys)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            'hermite:{"dim":1,"coeffs":[[[0],NaN],[[3],1.0]]}',
+            'hermite:{"dim":1,"coeffs":[[[2],Infinity]]}',
+            "bump:1.0,nan",
+        ],
+    )
+    def test_decompose_non_finite_function(self, tmp_path, capsys, spec):
+        argv = ["decompose", "--function", spec, "--j-max", "2"]
+        assert run(argv + ["--out", str(tmp_path / "c.csv")]) == 2
+        self._assert_one_line(capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_reconstruct_non_finite_s_value(self, tmp_path, capsys, value):
+        coeffs = tmp_path / "c.csv"
+        coeffs.write_text(f"level,node_index,xi_1,s_value\n1,0,0.0,{value}\n")
+        out = tmp_path / "r.json"
+        argv = ["reconstruct", "--coeffs", str(coeffs), "--j-max", "2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        self._assert_one_line(capsys)
+        assert not out.exists()
+
 
 def test_cli_import_does_not_load_scipy():
     # scipy costs every CLI process about 0.4 s and 28 MB at start-up

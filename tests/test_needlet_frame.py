@@ -113,6 +113,10 @@ class TestKernels:
     def test_symmetry(self, frame_j3):
         assert phi_kernel(frame_j3, 2, 0.3, -1.1) == phi_kernel(frame_j3, 2, -1.1, 0.3)
 
+    def test_d2_symmetry(self, frame_d2_j3):
+        x, y = (0.3, -1.1), (0.8, 0.45)
+        assert phi_kernel(frame_d2_j3, 2, x, y) == phi_kernel(frame_d2_j3, 2, y, x)
+
     def test_quadratic_pair_kernels_match(self, frame_j3):
         assert psi_kernel(frame_j3, 2, 0.4, 1.0) == phi_kernel(frame_j3, 2, 0.4, 1.0)
 
@@ -207,6 +211,11 @@ class TestKernels:
     def test_invalid_node(self, frame_j3):
         with pytest.raises(ParameterError):
             needlet_eval(frame_j3, "analysis", 0, 10**6, 0.0)
+
+    @pytest.mark.parametrize("j", [-1, 4])
+    def test_needlet_eval_level_outside_frame(self, frame_j3, j):
+        with pytest.raises(ParameterError):
+            needlet_eval(frame_j3, "analysis", j, 0, 0.0)
 
 
 class TestTransforms:
@@ -367,6 +376,11 @@ class TestLocalization:
     def test_k_bound(self, frame_j3):
         with pytest.raises(ParameterError):
             localization_profile(frame_j3, 1, 0, 11)
+
+    @pytest.mark.parametrize("j", [-1, 4])
+    def test_level_outside_frame(self, frame_j3, j):
+        with pytest.raises(ParameterError):
+            localization_profile(frame_j3, j, 0, 6)
 
     def test_derivative_variant_runs(self, frame_j3):
         rep = localization_profile(frame_j3, 2, 30, 6, dx_order=1)
