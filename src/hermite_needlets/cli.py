@@ -106,16 +106,11 @@ class RunConfig:
         return cfg
 
     def apply_flags(self, args: argparse.Namespace) -> "RunConfig":
-        for name in ("dimension", "delta", "j_max", "cutoff", "node_budget"):
-            val = getattr(args, name, None)
+        # every field name is its flag's dest
+        for f in fields(self):
+            val = getattr(args, f.name, None)
             if val is not None:
-                setattr(self, name, val)
-        if getattr(args, "grid_radius", None) is not None:
-            self.grid_radius = args.grid_radius
-        if getattr(args, "points_per_unit", None) is not None:
-            self.points_per_unit = args.points_per_unit
-        if getattr(args, "output_dir", None) is not None:
-            self.output_dir = args.output_dir
+                setattr(self, f.name, val)
         return self
 
     def build_frame(self) -> nf.NeedletFrame:
@@ -128,13 +123,12 @@ class RunConfig:
         )
 
     def grid_for(self, frame: nf.NeedletFrame) -> fs.GridSpec:
-        radius = self.grid_radius
-        if radius is None:
-            radius = frame.max_node + 1.0
-        ppu = self.points_per_unit
-        if ppu is None:
-            ppu = 4 * 2**frame.j_max
-        return fs.GridSpec(radius=radius, points_per_unit=ppu)
+        need = fs.default_grid(frame)
+        radius, ppu = self.grid_radius, self.points_per_unit
+        return fs.GridSpec(
+            radius=need.radius if radius is None else radius,
+            points_per_unit=need.points_per_unit if ppu is None else ppu,
+        )
 
 
 def _out_path(cfg: RunConfig, arg_out: str | None, default_name: str) -> str:
@@ -500,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=tuple(verification.SUITES) + ("all",),
     )
-    _add_config_flags(sub)
     sub.set_defaults(func=cmd_verify)
 
     return parser

@@ -65,9 +65,6 @@ class SmoothCutoff:
         vals = self.func(np.atleast_1d(arr))
         return float(vals[0]) if arr.ndim == 0 else vals
 
-    def eval(self, t):
-        return self(t)
-
     @property
     def support(self) -> tuple[float, float]:
         lo = 0.0 if self.kind == "type_a" else (self.u if self.u is not None else 0.0)
@@ -145,6 +142,9 @@ class CutoffPair:
     a_hat: SmoothCutoff
     b_hat: SmoothCutoff
 
+    def __str__(self) -> str:
+        return f"{self.a_hat.kind}/{self.b_hat.kind} at {id(self):#x}"
+
 
 def _dilation_sum_of_squares(a_hat: SmoothCutoff, t: np.ndarray) -> np.ndarray:
     # supp a_hat in [1/4, 4] means at most two of these terms are nonzero
@@ -187,14 +187,21 @@ def make_dual_pair(a_hat: SmoothCutoff) -> CutoffPair:
     return CutoffPair(a_hat=a_hat, b_hat=b_hat)
 
 
+_QUADRATIC = make_quadratic_cutoff()
+_SHIPPED = {
+    "quadratic": CutoffPair(a_hat=_QUADRATIC, b_hat=_QUADRATIC),
+    "dual": make_dual_pair(make_type_b()),
+}
+
+
 def make_pair(kind: str = "quadratic") -> CutoffPair:
-    """Shipped constructions: 'quadratic' (self-dual) or 'dual' (bump + mate)."""
-    if kind == "quadratic":
-        a = make_quadratic_cutoff()
-        return CutoffPair(a_hat=a, b_hat=a)
-    if kind == "dual":
-        return make_dual_pair(make_type_b())
-    raise ParameterError(f"unknown cutoff kind {kind!r}")
+    """Shipped constructions: 'quadratic' (self-dual) or 'dual' (bump + mate).
+
+    Each kind is one shared pair, so frames of one kind share coefficients.
+    """
+    if kind not in _SHIPPED:
+        raise ParameterError(f"unknown cutoff kind {kind!r}")
+    return _SHIPPED[kind]
 
 
 def partition_residual(pair: CutoffPair, j_levels: int) -> float:

@@ -5,12 +5,14 @@ space-then-scale norms (the F family) and scale-then-space norms (the B
 family), each with a sequence-space twin evaluated on the frame's tiles.
 L2-based cases use exact Parseval identities on filtered coefficients; all
 other integrals are truncated to [-R, R]^d and evaluated by the composite
-midpoint rule on a tensor grid.
+midpoint rule on a tensor grid, accumulated one block of grid rows at a
+time, so no level's full grid is held in memory.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -36,6 +38,10 @@ INF = math.inf
 
 INGESTION_TAIL_TOL = 1e-6
 
+# Values of one level held at a time on a block of grid rows (and the size of
+# a block's d = 1 Hermite matrix): 32 MB of doubles.
+GRID_BLOCK = 1 << 22
+
 
 @dataclass(frozen=True)
 class SpaceParams:
@@ -60,7 +66,9 @@ class GridSpec:
     points_per_unit: int
 
     def __post_init__(self):
-        if self.radius <= 0 or self.points_per_unit < 1:
+        # a finite radius with at least one cell; NaN fails every comparison
+        cells = 2.0 * self.radius * self.points_per_unit
+        if not (self.points_per_unit >= 1 and 0.5 < cells < math.inf):
             raise ParameterError(
                 f"invalid grid: radius={self.radius}, ppu={self.points_per_unit}"
             )
@@ -84,15 +92,12 @@ def default_grid(frame: NeedletFrame) -> GridSpec:
 def _validate_grid(grid: GridSpec, frame: NeedletFrame) -> None:
     if grid is None:
         raise ResolutionError("this computation needs an evaluation grid")
-    if grid.radius < frame.max_node + 1.0 - 1e-9:
+    need = default_grid(frame)
+    if grid.radius < need.radius - 1e-9 or grid.points_per_unit < need.points_per_unit:
         raise ResolutionError(
-            f"grid radius {grid.radius} does not cover the frame "
-            f"(need >= {frame.max_node + 1.0:.2f})"
-        )
-    if grid.points_per_unit < 4 * 2**frame.j_max:
-        raise ResolutionError(
-            f"points_per_unit {grid.points_per_unit} too coarse for level "
-            f"{frame.j_max} tiles (need >= {4 * 2 ** frame.j_max})"
+            f"grid of radius {grid.radius} at {grid.points_per_unit} points per unit "
+            f"misses the frame: it needs radius >= {need.radius:.2f} and, for "
+            f"level {frame.j_max} tiles, >= {need.points_per_unit} points per unit"
         )
 
 
@@ -104,13 +109,13 @@ def levels_for_degree(degree: int) -> int:
     return j
 
 
-def _level_depth(
+def _filtered_coeffs(
     f: HermiteExpansion, frame: NeedletFrame, j_levels: int | None
-) -> int:
-    """Deepest level of a norm's scale series; checks that f fits the frame.
+) -> dict[int, np.ndarray]:
+    """Per-level filtered dense coefficient arrays (levels with content only).
 
-    ``j_levels`` may deepen the series beyond the frame's built levels (the
-    extra levels are filter-only).
+    Checks that f fits the frame.  ``j_levels`` may deepen the scale series
+    beyond the frame's built levels (the extra levels are filter-only).
     """
     if f.dim != frame.d:
         raise DimensionMismatchError("expansion and frame dimensions differ")
@@ -119,63 +124,91 @@ def _level_depth(
         raise FrameDepthError(
             f"degree {f.degree} exceeds 4**{max(j_top, frame.j_max)}"
         )
-    return j_top
-
-
-def _filtered_coeffs(
-    f: HermiteExpansion, frame: NeedletFrame, side: str, j_levels: int
-) -> dict[int, np.ndarray]:
-    """Per-level filtered dense coefficient arrays (levels with content only)."""
-    cutoff = frame.pair.a_hat if side == "a" else frame.pair.b_hat
     out = {}
-    for j in range(j_levels + 1):
-        filtered = level_filter(cutoff, j, f.degree, f.dim) * f.array
+    for j in range(j_top + 1):
+        filtered = level_filter(frame.pair.a_hat, j, f.degree, f.dim) * f.array
         if np.any(filtered):
             out[j] = filtered
     return out
 
 
-def _grid_values(
-    filtered: dict[int, np.ndarray],
-    dim: int,
-    degree: int,
-    axis: np.ndarray,
-) -> dict[int, np.ndarray]:
-    """Evaluate each filtered expansion on the tensor grid."""
-    if dim == 1:
-        # chunk over grid points so the value matrix stays ~32 MB
-        chunk = max(256, (1 << 22) // (degree + 1))
-        out = {j: np.empty(axis.size) for j in filtered}
-        for start in range(0, axis.size, chunk):
-            block = axis[start : start + chunk]
-            hmat = hermite_core.hermite_values(degree, block)
-            for j, c in filtered.items():
-                out[j][start : start + chunk] = c @ hmat
-        return out
-    hmat = hermite_core.hermite_values(degree, axis)
-    return {j: hmat.T @ c @ hmat for j, c in filtered.items()}
+def _row_slices(n_rows: int, row_size: int):
+    """Consecutive slices of grid rows, GRID_BLOCK values each or one row."""
+    step = max(1, GRID_BLOCK // row_size)
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
-def _scale_combine(level_grids: dict[int, np.ndarray], alpha: float, q: float):
-    """Pointwise (sum_j (2^(alpha j) |g_j|)^q)^(1/q), sup for q = inf."""
-    acc = None
-    if q == INF:
-        for j, g in level_grids.items():
-            term = 2.0 ** (alpha * j) * np.abs(g)
-            acc = term if acc is None else np.maximum(acc, term)
-    else:
-        for j, g in level_grids.items():
-            term = (2.0 ** (alpha * j) * np.abs(g)) ** q
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            acc = acc ** (1.0 / q)
-    return acc
+def _expansion_blocks(
+    filtered: dict[int, np.ndarray], dim: int, degree: int, axis: np.ndarray
+):
+    """Yield every level's values on the next block of grid rows.
+
+    A block is an iterator of ``(j, values)`` pairs, computed as it is read,
+    so read each block before asking for the next.  The row Hermite matrix
+    is evaluated once per block; for d = 2 the column matrix once per call.
+    """
+    cols = hermite_core.hermite_values(degree, axis) if dim == 2 else None
+    for rows in _row_slices(axis.size, max(axis.size ** (dim - 1), degree + 1)):
+        h = hermite_core.hermite_values(degree, axis[rows]).T
+        yield ((j, h @ c if cols is None else h @ c @ cols) for j, c in filtered.items())
 
 
-def _lp_of_grid(values: np.ndarray, p: float, cell_volume: float) -> float:
-    if p == INF:
-        return float(np.max(np.abs(values)))
-    return float(np.sum(np.abs(values) ** p) * cell_volume) ** (1.0 / p)
+def _tile_blocks(s: NeedletCoefficients, frame: NeedletFrame, axis: np.ndarray):
+    """Yield every level's |s| / sqrt(tile measure) on the next block of rows.
+
+    Blocks are read like those of ``_expansion_blocks``.  Each level's table
+    is padded with zeros, which index -1 (outside the level's cube) selects.
+    """
+    tables = {}
+    for j, values in sorted(s.level_values.items()):
+        level = frame.levels[j]
+        n = 2 * level.half_nodes
+        idx = np.searchsorted(level.interval_bounds, axis, side="right") - 1
+        idx[idx == n] = -1
+        scaled = np.abs(values) / np.sqrt(level.tile_measures())
+        tables[j] = np.pad(scaled.reshape((n,) * frame.d), (0, 1)), idx
+    for rows in _row_slices(axis.size, axis.size ** (frame.d - 1)):
+        yield (
+            (j, table[idx[rows]] if frame.d == 1 else table[np.ix_(idx[rows], idx)])
+            for j, (table, idx) in tables.items()
+        )
+
+
+def _scale_combine(pairs, alpha: float, q: float):
+    """(sum_j (2^(alpha j) |g_j|)^q)^(1/q) over (j, g_j) pairs, sup for q = inf.
+
+    Pointwise for arrays; 0.0 when there are no pairs.
+    """
+    acc = 0.0
+    for j, g in pairs:
+        term = 2.0 ** (alpha * j) * np.abs(g)
+        if q == INF:
+            acc = np.maximum(acc, term)
+        else:
+            acc += term**q
+    return acc if q == INF else acc ** (1.0 / q)
+
+
+def _lp_norms(blocks, p: float, cell_volume: float) -> dict[int, float]:
+    """Grid L^p norm of each level in a stream of blocks of (j, values) pairs.
+
+    Each level's sum of |values|^p is added across blocks (the max of
+    |values| for p = inf), so no level's full grid is ever held.
+    """
+    acc: dict[int, float] = defaultdict(float)
+    for block in blocks:
+        for j, values in block:
+            if p == INF:
+                acc[j] = float(np.maximum(acc[j], np.max(np.abs(values))))
+            else:
+                acc[j] += float(np.sum(np.abs(values) ** p))
+    return {j: t if p == INF else (t * cell_volume) ** (1.0 / p) for j, t in acc.items()}
+
+
+def _combined_lp(blocks, params: SpaceParams, cell_volume: float) -> float:
+    """L^p norm of the pointwise scale combine, reduced block by block."""
+    combined = (((0, _scale_combine(b, params.alpha, params.q)),) for b in blocks)
+    return _lp_norms(combined, params.p, cell_volume)[0]
 
 
 def f_continuous_norm(
@@ -193,19 +226,15 @@ def f_continuous_norm(
     """
     if params.p == INF:
         raise ParameterError("the F-scale is defined for p < infinity only")
-    filtered = _filtered_coeffs(f, frame, "a", _level_depth(f, frame, j_levels))
+    if params.p == 2.0 and params.q == 2.0:
+        # Fubini: the F and B norms coincide, and B has the Parseval form
+        return b_continuous_norm(f, params, frame, grid, j_levels)
+    filtered = _filtered_coeffs(f, frame, j_levels)
     if not filtered:
         return 0.0
-    if params.p == 2.0 and params.q == 2.0:
-        total = 0.0
-        for j, c in filtered.items():
-            total += 4.0 ** (params.alpha * j) * float(np.sum(c * c))
-        return math.sqrt(total)
     _validate_grid(grid, frame)
-    axis = grid.axis()
-    grids = _grid_values(filtered, f.dim, f.degree, axis)
-    combined = _scale_combine(grids, params.alpha, params.q)
-    return _lp_of_grid(combined, params.p, grid.step**f.dim)
+    blocks = _expansion_blocks(filtered, f.dim, f.degree, grid.axis())
+    return _combined_lp(blocks, params, grid.step**f.dim)
 
 
 def b_continuous_norm(
@@ -216,7 +245,7 @@ def b_continuous_norm(
     j_levels: int | None = None,
 ) -> float:
     """Scale-then-space norm: l^q over levels of 2^(alpha j) ||g_j||_p."""
-    filtered = _filtered_coeffs(f, frame, "a", _level_depth(f, frame, j_levels))
+    filtered = _filtered_coeffs(f, frame, j_levels)
     if not filtered:
         return 0.0
     if params.p == 2.0:
@@ -225,21 +254,9 @@ def b_continuous_norm(
         }
     else:
         _validate_grid(grid, frame)
-        axis = grid.axis()
-        grids = _grid_values(filtered, f.dim, f.degree, axis)
-        level_norms = {
-            j: _lp_of_grid(g, params.p, grid.step**f.dim) for j, g in grids.items()
-        }
-    return float(_scale_combine(level_norms, params.alpha, params.q))
-
-
-def _level_tile_indices(level, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map grid coordinates to 1-d tile indices; -1 marks points outside."""
-    bounds = level.interval_bounds
-    idx = np.searchsorted(bounds, axis, side="right") - 1
-    valid = (idx >= 0) & (idx < bounds.size - 1)
-    idx[~valid] = -1
-    return idx, valid
+        blocks = _expansion_blocks(filtered, f.dim, f.degree, grid.axis())
+        level_norms = _lp_norms(blocks, params.p, grid.step**f.dim)
+    return float(_scale_combine(level_norms.items(), params.alpha, params.q))
 
 
 def f_sequence_norm(
@@ -272,35 +289,7 @@ def f_sequence_norm(
             )
         return total ** (1.0 / q)
     _validate_grid(grid, frame)
-    axis = grid.axis()
-    acc = None
-    for j, values in sorted(s.level_values.items()):
-        level = frame.levels[j]
-        lengths = level.tile_lengths_1d()
-        idx, valid = _level_tile_indices(level, axis)
-        if frame.d == 1:
-            base = np.abs(values) / np.sqrt(lengths)
-            t = np.zeros(axis.size)
-            t[valid] = base[idx[valid]]
-        else:
-            n = 2 * level.half_nodes
-            inv_sqrt = 1.0 / np.sqrt(np.multiply.outer(lengths, lengths))
-            table = np.abs(values).reshape(n, n) * inv_sqrt
-            t = np.zeros((axis.size, axis.size))
-            m = np.outer(valid, valid)
-            ii = np.broadcast_to(idx[:, None], m.shape)
-            jj = np.broadcast_to(idx[None, :], m.shape)
-            t[m] = table[ii[m], jj[m]]
-        if q == INF:
-            term = 2.0 ** (alpha * j) * t
-            acc = term if acc is None else np.maximum(acc, term)
-        else:
-            term = (2.0 ** (alpha * j) * t) ** q
-            acc = term if acc is None else acc + term
-    if acc is None:
-        return 0.0
-    combined = acc if q == INF else acc ** (1.0 / q)
-    return _lp_of_grid(combined, p, grid.step**frame.d)
+    return _combined_lp(_tile_blocks(s, frame, grid.axis()), params, grid.step**frame.d)
 
 
 def b_sequence_norm(
@@ -312,15 +301,12 @@ def b_sequence_norm(
     for j, values in s.level_values.items():
         measures = frame.levels[j].tile_measures()
         if p == INF:
-            term = float(np.max(np.abs(values) / np.sqrt(measures)))
+            level_terms[j] = float(np.max(np.abs(values) / np.sqrt(measures)))
         else:
-            term = float(
+            level_terms[j] = float(
                 np.sum(measures ** (1.0 - p / 2.0) * np.abs(values) ** p)
             ) ** (1.0 / p)
-        level_terms[j] = term
-    if not level_terms:
-        return 0.0
-    return float(_scale_combine(level_terms, alpha, q))
+    return float(_scale_combine(level_terms.items(), alpha, q))
 
 
 def _lp_norm_expansion(
@@ -330,9 +316,8 @@ def _lp_norm_expansion(
         return f.l2_norm()
     if grid is None:
         raise ResolutionError("L^p evaluation with p != 2 needs a grid")
-    axis = grid.axis()
-    vals = hermite_core.evaluate_expansion_grid(f, [axis] * f.dim)
-    return _lp_of_grid(vals, p, grid.step**f.dim)
+    blocks = _expansion_blocks({0: f.array}, f.dim, f.degree, grid.axis())
+    return _lp_norms(blocks, p, grid.step**f.dim)[0]
 
 
 class BestApprox(NamedTuple):
@@ -378,14 +363,8 @@ def approximation_norm(
     if j_cap is None:
         j_cap = max(1, math.ceil(math.log2(max(f.degree, 1)))) + 1
     errors = [best_approx_error(f, 2**j, p, grid).value for j in range(j_cap + 1)]
-    base = _lp_norm_expansion(f, p, grid)
-    if q == INF:
-        series = max(2.0 ** (alpha * j) * e for j, e in enumerate(errors))
-    else:
-        series = sum((2.0 ** (alpha * j) * e) ** q for j, e in enumerate(errors)) ** (
-            1.0 / q
-        )
-    return base + series
+    series = _scale_combine(enumerate(errors), alpha, q)
+    return _lp_norm_expansion(f, p, grid) + float(series)
 
 
 def nikolskii_ratio(

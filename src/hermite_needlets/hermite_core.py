@@ -210,25 +210,23 @@ def hermite_tensor(alpha: Iterable[int], x) -> float:
     return val
 
 
+def _point_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    px, py = _as_point(x), _as_point(y)
+    if px.size != py.size:
+        raise DimensionMismatchError("x and y have different dimensions")
+    return px, py
+
+
 def projector_kernel(n: int, x, y) -> float:
     """Kernel of the projector onto the span of total degree exactly n.
 
     d = 1: h_n(x) h_n(y); d = 2: sum over alpha = (k, n-k) of the products.
     """
     _check_degree(n)
-    px, py = _as_point(x), _as_point(y)
-    if px.size != py.size:
-        raise DimensionMismatchError("x and y have different dimensions")
-    d = px.size
-    if d == 1:
-        vals = hermite_values(n, np.array([px[0], py[0]]))
-        return float(vals[n, 0] * vals[n, 1])
-    if d == 2:
-        vals = hermite_values(n, np.array([px[0], py[0], px[1], py[1]]))
-        u = vals[:, 0] * vals[:, 1]
-        v = vals[:, 2] * vals[:, 3]
-        return float(np.dot(u, v[::-1]))
-    raise DimensionMismatchError(f"unsupported dimension {d}, expected 1 or 2")
+    px, py = _point_pair(x, y)
+    w = np.zeros(n + 1)
+    w[n] = 1.0
+    return float(filtered_kernel(w, px[None], py[None], px.size)[0])
 
 
 def partial_sum_kernel(n: int, x, y, method: str = "direct") -> float:
@@ -238,9 +236,7 @@ def partial_sum_kernel(n: int, x, y, method: str = "direct") -> float:
     the direct sum is the reference path.
     """
     _check_degree(n)
-    px, py = _as_point(x), _as_point(y)
-    if px.size != py.size:
-        raise DimensionMismatchError("x and y have different dimensions")
+    px, py = _point_pair(x, y)
     if method not in ("direct", "cd"):
         raise ParameterError(f"unknown method {method!r}")
     if method == "cd" and px.size == 2:
@@ -453,19 +449,6 @@ def evaluate_expansion(f: HermiteExpansion, x) -> float:
     for coord in pt[::-1]:
         total = total @ hermite_values(f.degree, np.asarray([coord]))[:, 0]
     return float(total)
-
-
-def evaluate_expansion_grid(f: HermiteExpansion, axes: list[np.ndarray]) -> np.ndarray:
-    """Evaluate on a tensor grid given per-axis coordinate arrays."""
-    if len(axes) != f.dim:
-        raise DimensionMismatchError(f"need {f.dim} axes, got {len(axes)}")
-    if f.dim == 1:
-        return hermite_values(f.degree, axes[0]).T @ f.array
-    if f.dim == 2:
-        h1 = hermite_values(f.degree, axes[0])
-        h2 = hermite_values(f.degree, axes[1])
-        return h1.T @ f.array @ h2
-    raise DimensionMismatchError(f"unsupported dimension {f.dim}")
 
 
 class ProjectionResult(NamedTuple):

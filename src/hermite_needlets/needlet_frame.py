@@ -58,10 +58,6 @@ class FrameLevel:
     def node_count(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def edge_overhang(self) -> float:
-        return 2.0 ** (-self.j / 6.0)
-
     def tile_lengths_1d(self) -> np.ndarray:
         return np.diff(self.interval_bounds)
 
@@ -343,9 +339,11 @@ def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpan
 
     Output degree is capped at 4**j_max (the synthesis filters vanish above).
     """
-    if coeffs.frame is not frame and coeffs.frame_id != frame.frame_id:
+    source = coeffs.frame
+    if (source.frame_id, source.pair) != (frame.frame_id, frame.pair):
         raise FrameMismatchError(
-            f"coefficients belong to {coeffs.frame_id}, not {frame.frame_id}"
+            f"coefficients belong to {source.frame_id} with cutoff pair "
+            f"{source.pair}, not {frame.frame_id} with {frame.pair}"
         )
     cap = 4**frame.j_max
     shape = (cap + 1,) * frame.d

@@ -388,6 +388,14 @@ class TestVerify:
         assert run(["verify", "--suite", "quadrature"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_config_flags_rejected(self, capsys):
+        # verify builds its own frames, so it takes no config flags
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--suite", "cutoffs", "--j-max", "7", "--node-budget", "1",
+                 "--config", "/nonexistent.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestBadInputExits2:
     """Malformed outside input ends in exit 2 with a one-line message."""
@@ -452,6 +460,13 @@ class TestBadInputExits2:
     def test_decompose_non_finite_function(self, tmp_path, capsys, spec):
         argv = ["decompose", "--function", spec, "--j-max", "2"]
         assert run(argv + ["--out", str(tmp_path / "c.csv")]) == 2
+        self._assert_one_line(capsys)
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0.1"])
+    def test_norms_grid_without_finite_cells(self, capsys, radius):
+        argv = ["norms", "--function", "bump:1.0", "--degree", "8", "--j-max", "2",
+                "--alpha", "0.5", "--p", "3", "--q", "2", "--kind", "E"]
+        assert run(argv + ["--grid-radius", radius, "--points-per-unit", "1"]) == 2
         self._assert_one_line(capsys)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -23,6 +23,7 @@ from hermite_needlets import (
     smooth_bump,
 )
 from hermite_needlets import function_spaces as fs
+from hermite_needlets import hermite_core as hc
 from hermite_needlets import needlet_frame as nf
 
 from conftest import random_expansion_1d
@@ -253,11 +254,90 @@ class TestContinuousNorms:
         params = SpaceParams(0.4, 2.0, 2.0)
         exact = f_continuous_norm(f, params, frame_d2_j3, None)
         grid = GridSpec(frame_d2_j3.max_node + 1.0, 32)
-        filtered = fs._filtered_coeffs(f, frame_d2_j3, "a", frame_d2_j3.j_max)
-        grids = fs._grid_values(filtered, 2, f.degree, grid.axis())
-        combined = fs._scale_combine(grids, params.alpha, params.q)
-        got = fs._lp_of_grid(combined, params.p, grid.step**2)
+        filtered = fs._filtered_coeffs(f, frame_d2_j3, frame_d2_j3.j_max)
+        blocks = fs._expansion_blocks(filtered, 2, f.degree, grid.axis())
+        got = fs._combined_lp(blocks, params, grid.step**2)
         assert got == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_streamed_blocks_match_full_grid(self, d, frame_j3, monkeypatch):
+        """Row-block norms against every level's full grid built at once."""
+        from conftest import random_expansion_2d
+
+        rng = np.random.default_rng(29)
+        if d == 1:
+            frame, f = frame_j3, random_expansion_1d(40, rng)
+        else:
+            frame = nf.build_frame(d=2, j_max=2)
+            f = random_expansion_2d(14, rng)
+        s = analyze(f, frame)
+        grid = default_grid(frame)
+        axis, vol, alpha = grid.axis(), grid.step**d, 0.7
+        h = hc.hermite_values(f.degree, axis)
+        levels = {}
+        for j in range(frame.j_max + 1):
+            c = nf.level_filter(frame.pair.a_hat, j, f.degree, d) * f.array
+            if np.any(c):
+                levels[j] = h.T @ c if d == 1 else h.T @ c @ h
+        tiles = {}
+        for j, values in s.level_values.items():
+            level = frame.levels[j]
+            n = 2 * level.half_nodes
+            idx = np.searchsorted(level.interval_bounds, axis, side="right") - 1
+            inside = (idx >= 0) & (idx < n)
+            idx = np.clip(idx, 0, n - 1)
+            table = np.abs(values) / np.sqrt(level.tile_measures())
+            table = table.reshape((n,) * d)
+            if d == 1:
+                tiles[j] = np.where(inside, table[idx], 0.0)
+            else:
+                mask = np.outer(inside, inside)
+                tiles[j] = np.where(mask, table[np.ix_(idx, idx)], 0.0)
+
+        def lp(g, p):
+            if p == INF:
+                return np.max(np.abs(g))
+            return (np.sum(np.abs(g) ** p) * vol) ** (1.0 / p)
+
+        def combine(grids, q):
+            scaled = np.stack([2.0 ** (alpha * j) * np.abs(g) for j, g in grids.items()])
+            if q == INF:
+                return scaled.max(axis=0)
+            return np.sum(scaled**q, axis=0) ** (1.0 / q)
+
+        def level_lp(p):
+            return {j: lp(g, p) for j, g in levels.items()}
+
+        block = 500 if d == 1 else 37 * axis.size
+        monkeypatch.setattr(fs, "GRID_BLOCK", block)
+        calls = []
+
+        def recording(blocks):
+            def wrapped(*args):
+                calls.append([])
+                for pairs in map(list, blocks(*args)):
+                    assert all(v.size <= block for _, v in pairs)
+                    calls[-1].append(pairs[0][1].shape[0])
+                    yield pairs
+
+            return wrapped
+
+        monkeypatch.setattr(fs, "_expansion_blocks", recording(fs._expansion_blocks))
+        monkeypatch.setattr(fs, "_tile_blocks", recording(fs._tile_blocks))
+        cases = [
+            (f_continuous_norm, f, 3.0, 2.0, lp(combine(levels, 2.0), 3.0)),
+            (f_continuous_norm, f, 3.0, INF, lp(combine(levels, INF), 3.0)),
+            (b_continuous_norm, f, 3.0, 1.5, combine(level_lp(3.0), 1.5)),
+            (b_continuous_norm, f, INF, 2.0, combine(level_lp(INF), 2.0)),
+            (f_sequence_norm, s, 3.0, 2.0, lp(combine(tiles, 2.0), 3.0)),
+            (f_sequence_norm, s, 2.5, INF, lp(combine(tiles, INF), 2.5)),
+        ]
+        for norm, arg, p, q, want in cases:
+            got = norm(arg, SpaceParams(alpha, p, q), frame, grid)
+            assert got == pytest.approx(float(want), rel=1e-12)
+        assert len(calls) == len(cases)
+        for rows in calls:
+            assert len(rows) > 2 and rows[-1] < rows[0]
 
 
 class TestBestApproximation:

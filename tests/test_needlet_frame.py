@@ -14,6 +14,8 @@ from hermite_needlets import (
     half_node_count,
     hermite_function,
     localization_profile,
+    make_dual_pair,
+    make_type_b,
     needlet_eval,
     phi_kernel,
     psi_kernel,
@@ -322,6 +324,24 @@ class TestTransforms:
         s = analyze(f, frame_j3)
         with pytest.raises(FrameMismatchError):
             synthesize(s, frame_j4)
+
+    def test_custom_pair_mismatch(self):
+        # both frames get the id d1-delta0.025-J3-type_b
+        a, b = (
+            nf.build_frame(1, j_max=3, cutoff=make_dual_pair(make_type_b(plateau=pl)))
+            for pl in ((1.0 / 3.0, 3.0), (0.4, 2.5))
+        )
+        assert a.frame_id == b.frame_id
+        s = analyze(random_expansion_1d(16, np.random.default_rng(5)), a)
+        with pytest.raises(FrameMismatchError, match="type_b/dual"):
+            synthesize(s, b)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "dual"])
+    def test_shipped_pair_frames_match(self, kind):
+        f = random_expansion_1d(16, np.random.default_rng(6))
+        a, b = (nf.build_frame(1, j_max=3, cutoff=kind) for _ in range(2))
+        g = synthesize(analyze(f, a), b)
+        assert g.array[: f.degree + 1] == pytest.approx(f.array, abs=1e-12)
 
     def test_dimension_mismatch(self, frame_d2_j3):
         f = HermiteExpansion(1, 0, {(0,): 1.0})
