@@ -85,15 +85,16 @@ class RunConfig:
         if path:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ParameterError(f"config file {path} must hold a JSON object")
             known = {f.name for f in fields(cls)}
             unknown = set(data) - known
             if unknown:
                 raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-            hints = typing.get_type_hints(cls)
             for key, value in data.items():
                 if key == "cutoff" and isinstance(value, dict):
                     value = value.get("kind", "quadratic")
-                _check_config_value(key, value, hints[key])
+                _check_config_value(key, value, _FIELD_TYPES[key])
                 setattr(cfg, key, value)
         env_budget = os.environ.get("NEEDLET_NODE_BUDGET")
         if env_budget:
@@ -131,6 +132,9 @@ class RunConfig:
         )
 
 
+_FIELD_TYPES = typing.get_type_hints(RunConfig)  # field name -> annotation
+
+
 def _out_path(cfg: RunConfig, arg_out: str | None, default_name: str) -> str:
     if arg_out:
         return arg_out
@@ -145,10 +149,16 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _parse_scalar(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
+def _parse_number(flag: str, text: str, allow_inf: bool = False) -> float:
+    """``text`` as a finite number, or as +inf where ``allow_inf``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value) or (allow_inf and value == math.inf):
+        return value
+    allowed = "a finite number or inf" if allow_inf else "a finite number"
+    raise ParameterError(f"{flag} must be {allowed}, got {text!r}")
 
 
 def _parse_function(
@@ -160,7 +170,7 @@ def _parse_function(
             data = json.loads(spec[len("hermite:") :])
             dim = int(data.get("dim", cfg.dimension))
             coeffs = {tuple(int(a) for a in alpha): float(c) for alpha, c in data["coeffs"]}
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed hermite spec: {exc}") from exc
         degree = max((sum(a) for a in coeffs), default=0)
         return hc.HermiteExpansion(dim, degree, coeffs)
@@ -177,8 +187,8 @@ def _parse_function(
         center = parts[1:] or [0.0]
         if len(center) == 1 and cfg.dimension > 1:
             center = center * cfg.dimension
-        if degree is None:
-            degree = min(4**cfg.j_max, 256)
+        if degree is None:  # the most that analyze -> synthesize returns unchanged
+            degree = min(4 ** (cfg.j_max - 1), 256) if cfg.j_max else 0
         if quad_order is None:
             quad_order = 2 * degree + 16
         bump = fs.smooth_bump(width, np.asarray(center), dim=cfg.dimension)
@@ -186,8 +196,7 @@ def _parse_function(
     raise ParameterError(f"function spec must start with 'hermite:' or 'bump:', got {spec!r}")
 
 
-def cmd_rule(args: argparse.Namespace) -> int:
-    cfg = RunConfig.load(args.config).apply_flags(args)
+def cmd_rule(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.n < 1:
         raise ParameterError(f"rule order must be >= 1, got {args.n}")
     rule = quad.product_cubature(args.n, args.d, node_budget=cfg.node_budget)
@@ -209,8 +218,7 @@ def cmd_rule(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_frame(args: argparse.Namespace) -> int:
-    cfg = RunConfig.load(args.config).apply_flags(args)
+def cmd_frame(args: argparse.Namespace, cfg: RunConfig) -> int:
     frame = cfg.build_frame()
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(
@@ -255,8 +263,7 @@ def cmd_frame(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    cfg = RunConfig.load(args.config).apply_flags(args)
+def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
     frame = cfg.build_frame()
     f = _parse_function(args.function, cfg, args.degree, args.quad_order)
     coeffs = nf.analyze(f, frame)
@@ -279,8 +286,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
-    cfg = RunConfig.load(args.config).apply_flags(args)
+def cmd_reconstruct(args: argparse.Namespace, cfg: RunConfig) -> int:
     frame = cfg.build_frame()
     level_values: dict[int, np.ndarray] = {}
     with open(args.coeffs, encoding="utf-8") as fh:
@@ -325,15 +331,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_norms(args: argparse.Namespace) -> int:
-    cfg = RunConfig.load(args.config).apply_flags(args)
+def cmd_norms(args: argparse.Namespace, cfg: RunConfig) -> int:
+    alpha = _parse_number("--alpha", args.alpha)
+    p = _parse_number("--p", args.p, allow_inf=True)
+    q = _parse_number("--q", args.q, allow_inf=True)
+    params = fs.SpaceParams(alpha, p, q)
     frame = cfg.build_frame()
     grid = cfg.grid_for(frame)
     f = _parse_function(args.function, cfg, args.degree, args.quad_order)
-    alpha = args.alpha
-    p = _parse_scalar(args.p)
-    q = _parse_scalar(args.q)
-    params = fs.SpaceParams(alpha, p, q)
     kind = args.kind
     if kind == "F":
         value = fs.f_continuous_norm(f, params, frame, grid)
@@ -357,8 +362,7 @@ def cmd_norms(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_decay(args: argparse.Namespace) -> int:
-    cfg = RunConfig.load(args.config).apply_flags(args)
+def cmd_decay(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not 0 <= args.level <= cfg.j_max:
         raise ParameterError(f"level {args.level} outside 0..{cfg.j_max}")
     frame = cfg.build_frame()
@@ -377,13 +381,17 @@ def cmd_decay(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_shift_study(args: argparse.Namespace) -> int:
-    cfg = RunConfig.load(args.config).apply_flags(args)
+def cmd_shift_study(args: argparse.Namespace, cfg: RunConfig) -> int:
+    shifts = [_parse_number("--shifts", s) for s in args.shifts.split(",") if s]
+    width = _parse_number("--width", args.width)
+    p = _parse_number("--p", args.p, allow_inf=True)
+    q = _parse_number("--q", args.q, allow_inf=True)
+    params = fs.SpaceParams(_parse_number("--alpha", args.alpha), p, q)
     frame = cfg.build_frame()
-    shifts = [float(s) for s in args.shifts.split(",") if s]
-    params = fs.SpaceParams(args.alpha, _parse_scalar(args.p), _parse_scalar(args.q))
+    # at p = q = 2 the norms are Parseval sums and need no grid
+    grid = None if params.p == params.q == 2.0 else cfg.grid_for(frame)
     rows = fs.shift_study(
-        args.width, shifts, params, frame, grid=None, degree=args.degree
+        width, shifts, params, frame, grid=grid, degree=args.degree
     )
     path = _out_path(cfg, args.out, "shift_study.csv")
     _write_csv(
@@ -407,16 +415,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+_FLAG_CHOICES = {"dimension": (1, 2), "cutoff": ("quadratic", "dual")}
+# the frame fields apart from the dimension, which the d = 1 shift study lacks
+_FRAME_FIELDS = ("delta", "j_max", "cutoff", "node_budget")
+_GRID_FIELDS = ("grid_radius", "points_per_unit")
+
+
+def _add_config_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """``--config`` and a flag for each named field, of the field's type."""
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--dimension", type=int, choices=(1, 2))
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--j-max", dest="j_max", type=int)
-    sub.add_argument("--cutoff", choices=("quadratic", "dual"))
-    sub.add_argument("--grid-radius", dest="grid_radius", type=float)
-    sub.add_argument("--points-per-unit", dest="points_per_unit", type=int)
-    sub.add_argument("--node-budget", dest="node_budget", type=int)
-    sub.add_argument("--output-dir", dest="output_dir")
+    for name in names:
+        kind = typing.get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)  # X of X | None
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=kind[0],
+                         choices=_FLAG_CHOICES.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,18 +441,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--d", type=int, default=1, choices=(1, 2))
     sub.add_argument("--out")
-    _add_config_flags(sub)
+    _add_config_flags(sub, "node_budget", "output_dir")
     sub.set_defaults(func=cmd_rule)
 
     sub = subs.add_parser("frame", help="build a frame; write manifest and levels")
-    sub.add_argument("--out-dir", dest="output_dir")
     sub.add_argument(
         "--cutoff-table",
         dest="cutoff_table",
         action="store_true",
         help="also tabulate the cutoff pair as t,value CSV files",
     )
-    _add_config_flags(sub)
+    _add_config_flags(sub, "dimension", *_FRAME_FIELDS, "output_dir")
     sub.set_defaults(func=cmd_frame)
 
     for name, handler in (("decompose", cmd_decompose), ("norms", cmd_norms)):
@@ -450,9 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--degree", type=int, help="projection degree for bump specs")
         sub.add_argument("--quad-order", dest="quad_order", type=int)
         sub.add_argument("--out")
-        _add_config_flags(sub)
+        extra = _GRID_FIELDS if name == "norms" else ("output_dir",)
+        _add_config_flags(sub, "dimension", *_FRAME_FIELDS, *extra)
         if name == "norms":
-            sub.add_argument("--alpha", type=float, required=True)
+            sub.add_argument("--alpha", required=True)
             sub.add_argument("--p", required=True)
             sub.add_argument("--q", required=True)
             sub.add_argument(
@@ -465,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("reconstruct", help="synthesize from a coefficient CSV")
     sub.add_argument("--coeffs", required=True)
     sub.add_argument("--out")
-    _add_config_flags(sub)
+    _add_config_flags(sub, "dimension", *_FRAME_FIELDS, "output_dir")
     sub.set_defaults(func=cmd_reconstruct)
 
     sub = subs.add_parser("decay", help="kernel localization profile")
@@ -474,18 +485,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, default=6)
     sub.add_argument("--deriv", type=int, default=0, choices=(0, 1))
     sub.add_argument("--out")
-    _add_config_flags(sub)
+    _add_config_flags(sub, "dimension", *_FRAME_FIELDS, "output_dir")
     sub.set_defaults(func=cmd_decay)
 
     sub = subs.add_parser("shift-study", help="norms of a shifted bump")
     sub.add_argument("--shifts", required=True, help="comma-separated shifts")
-    sub.add_argument("--width", type=float, default=1.0)
-    sub.add_argument("--alpha", type=float, default=1.0)
+    sub.add_argument("--width", default="1.0")
+    sub.add_argument("--alpha", default="1.0")
     sub.add_argument("--p", default="2")
     sub.add_argument("--q", default="2")
     sub.add_argument("--degree", type=int)
     sub.add_argument("--out")
-    _add_config_flags(sub)
+    _add_config_flags(sub, *_FRAME_FIELDS, *_GRID_FIELDS, "output_dir")
     sub.set_defaults(func=cmd_shift_study)
 
     sub = subs.add_parser("verify", help="run the property suite")
@@ -494,16 +505,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=tuple(verification.SUITES) + ("all",),
     )
-    sub.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify":  # builds its own frames
+            return cmd_verify(args)
+        return args.func(args, RunConfig.load(args.config).apply_flags(args))
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
@@ -513,6 +524,12 @@ def main(argv=None) -> int:
     except NeedletError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (OSError, UnicodeDecodeError) as exc:  # a file missing, unwritable or not text
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
+    except json.JSONDecodeError as exc:  # json.load reads only the --config file
+        print(f"file error: --config {args.config} is not JSON: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -441,16 +441,19 @@ def shift_study(
     """
     if frame.d != 1:
         raise DimensionMismatchError("the shift study is a d = 1 experiment")
+    if not bump_width > 0:
+        raise ParameterError(f"bump width must be positive, got {bump_width}")
     dpos = frame.d * max(0.0, 1.0 / params.p - 1.0) if params.p != INF else 0.0
     if not params.alpha > dpos:
         raise ParameterError(
             f"alpha must exceed d(1/p - 1)_+ = {dpos}, got {params.alpha}"
         )
     if degree is None:
-        degree = min(
-            hermite_core.DEGREE_CAP // 3,
-            max(256, int(math.ceil(SHIFT_STUDY_DEGREE / bump_width**2))),
-        )
+        cap = hermite_core.DEGREE_CAP // 3
+        # bumps narrower than sqrt(SHIFT_STUDY_DEGREE / cap) all get the cap; the
+        # floor keeps a tiny width**2 from underflowing to 0
+        need = SHIFT_STUDY_DEGREE / max(bump_width**2, SHIFT_STUDY_DEGREE / cap)
+        degree = min(cap, max(256, int(math.ceil(need))))
     if quad_order is None:
         quad_order = 2 * degree + 16
     if grid is not None:

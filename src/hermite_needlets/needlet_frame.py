@@ -84,7 +84,6 @@ def build_level(
     j: int,
     d: int,
     delta: float = DELTA_DEFAULT,
-    pair: CutoffPair | None = None,
     node_budget: int = quadrature.DEFAULT_NODE_BUDGET,
 ) -> FrameLevel:
     """Construct the level-j node set, weights, and tile boundaries."""
@@ -175,9 +174,7 @@ def build_frame(
     else:
         kind = cutoff.a_hat.kind
         pair = cutoff
-    levels = tuple(
-        build_level(j, d, delta, pair, node_budget) for j in range(j_max + 1)
-    )
+    levels = tuple(build_level(j, d, delta, node_budget) for j in range(j_max + 1))
     return NeedletFrame(
         d=d, delta=delta, j_max=j_max, pair=pair, levels=levels, cutoff_kind=kind
     )

@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hermite_needlets
+from hermite_needlets import build_frame
 from hermite_needlets.cli import main
 
 
@@ -496,3 +498,143 @@ def test_cli_import_does_not_load_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _assert_one_line_exit_2(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.count("\n") == 1, err
+
+
+NORMS_B = ["norms", "--function", 'hermite:{"coeffs":[[[0],1.0]]}', "--j-max", "1",
+           "--kind", "B"]
+
+
+class TestFileAndNumberErrorsExit2:
+    """Missing files, a malformed config and bad numbers end in exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reconstruct", "--coeffs", "{tmp}/missing.csv", "--j-max", "1"],
+            ["frame", "--config", "{tmp}/missing.json"],
+            ["rule", "--n", "5", "--out", "{tmp}/missing/r.csv"],
+            ["frame", "--j-max", "0", "--output-dir", "{tmp}/bad.json/out"],
+            ["frame", "--config", "{tmp}/bad.json", "--output-dir", "{tmp}"],
+            ["frame", "--config", "{tmp}/list.json", "--output-dir", "{tmp}"],
+            ["reconstruct", "--coeffs", "{tmp}/binary.csv", "--j-max", "1"],
+            ["norms", "--function", "hermite:[]", "--alpha", "0", "--p", "2", "--q", "2",
+             "--kind", "F", "--j-max", "1"],
+            NORMS_B + ["--alpha", "0", "--p", "abc", "--q", "2"],
+            ["shift-study", "--shifts", "0,x"],
+            ["shift-study", "--shifts", "0", "--width", "0"],
+            # non-finite numbers
+            NORMS_B + ["--alpha", "nan", "--p", "2", "--q", "2"],
+            NORMS_B + ["--alpha", "inf", "--p", "2", "--q", "2"],
+            NORMS_B + ["--alpha", "0", "--p", "nan", "--q", "2"],
+            NORMS_B + ["--alpha", "0", "--p", "2", "--q=-inf"],
+            ["shift-study", "--shifts", "nan"],
+            ["shift-study", "--shifts", "0,inf"],
+            ["shift-study", "--shifts", "0", "--width", "nan"],
+            ["shift-study", "--shifts", "0", "--width", "inf"],
+            ["shift-study", "--shifts", "0", "--alpha", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)  # where a command would write by default
+        (tmp_path / "bad.json").write_text("{bad")
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "binary.csv").write_bytes(b"\xff\xfe\x00")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        _assert_one_line_exit_2(run(argv), capsys)
+
+    def test_inf_accepted_for_p_and_q(self, capsys):
+        argv = NORMS_B[:-1] + ["b", "--alpha", "0.5", "--p", "inf", "--q", "Infinity"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("f0,0.5,inf,Infinity,b,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rule", "--n", "5", "--j-max", "3"],
+        ["frame", "--out-dir", "."],
+        ["frame", "--grid-radius", "30"],
+        ["norms", "--function", "bump:1", "--alpha", "0", "--p", "2", "--q", "2",
+         "--kind", "F", "--output-dir", "."],
+        ["shift-study", "--shifts", "0", "--dimension", "1"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_unread_config_flags_rejected(capsys, argv):
+    # each command registers only the config flags whose fields it reads
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestShiftStudyGrid:
+    """At p or q other than 2 the study evaluates on the configured grid."""
+
+    ARGV = ["shift-study", "--shifts", "0,1.5", "--width", "3", "--p", "3", "--q", "2",
+            "--j-max", "2"]
+
+    def _rows(self, path):
+        return [list(map(float, line.split(","))) for line in
+                path.read_text().splitlines()[1:]]
+
+    def _expected(self, grid_for):
+        from hermite_needlets import function_spaces as fs
+        from hermite_needlets import needlet_frame as nf
+
+        frame = nf.build_frame(d=1, j_max=2)
+        params = fs.SpaceParams(1.0, 3.0, 2.0)
+        rows = fs.shift_study(3.0, [0.0, 1.5], params, frame, grid=grid_for(frame))
+        return [[r.y, r.l2, r.b_norm, r.f_norm] for r in rows]
+
+    def test_default_grid(self, tmp_path):
+        from hermite_needlets.function_spaces import default_grid
+
+        out = tmp_path / "shift.csv"
+        assert run(self.ARGV + ["--out", str(out)]) == 0
+        got, want = self._rows(out), self._expected(default_grid)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_grid_flags_used(self, tmp_path):
+        from hermite_needlets.function_spaces import GridSpec, default_grid
+
+        def wider(frame):
+            return GridSpec(default_grid(frame).radius + 2.0, 20)
+
+        out = tmp_path / "shift.csv"
+        radius = wider(build_frame(d=1, j_max=2)).radius
+        argv = self.ARGV + ["--grid-radius", repr(radius), "--points-per-unit", "20"]
+        assert run(argv + ["--out", str(out)]) == 0
+        got, want = self._rows(out), self._expected(wider)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert not np.allclose(got, self._expected(default_grid), rtol=1e-12, atol=0.0)
+
+    def test_coarse_grid_exits_2(self, tmp_path, capsys):
+        argv = self.ARGV + ["--grid-radius", "5", "--points-per-unit", "4"]
+        _assert_one_line_exit_2(run(argv + ["--out", str(tmp_path / "s.csv")]), capsys)
+
+
+@pytest.mark.parametrize("j_max", [0, 3])
+def test_default_bump_degree_round_trip(tmp_path, j_max):
+    # the default degree is the largest that analyze -> synthesize returns
+    from hermite_needlets import function_spaces as fs
+    from hermite_needlets import hermite_core as hc
+
+    coeffs, recon = tmp_path / "c.csv", tmp_path / "r.json"
+    common = ["--j-max", str(j_max)]
+    assert run(["decompose", "--function", "bump:1.0,0.3", "--out", str(coeffs)]
+               + common) == 0
+    assert run(["reconstruct", "--coeffs", str(coeffs), "--out", str(recon)] + common) == 0
+    degree = 4 ** (j_max - 1) if j_max else 0
+    want = hc.project_function(fs.smooth_bump(1.0, np.array([0.3])), degree,
+                               2 * degree + 16).expansion.coeffs
+    got = {tuple(a): c for a, c in json.loads(recon.read_text())["coeffs"]}
+    scale = max(abs(c) for c in want.values())
+    assert max(abs(got.get(a, 0.0) - want.get(a, 0.0)) for a in {*got, *want}) <= 1e-12 * scale

@@ -445,3 +445,16 @@ class TestShiftStudy:
         fsn = [r.f_norm for r in rows]
         assert all(a < b for a, b in zip(bs, bs[1:]))
         assert all(a < b for a, b in zip(fsn, fsn[1:]))
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+def test_shift_study_rejects_non_positive_width(frame_j3, width):
+    # checked before the default degree divides by the width squared
+    with pytest.raises(ParameterError, match="width"):
+        shift_study(width, [0.0], SpaceParams(1.0, 2.0, 2.0), frame_j3)
+
+
+@pytest.mark.parametrize("width", [1e-160, 1e-200])
+def test_shift_study_default_degree_for_narrow_width(frame_j3, width):
+    # width**2 is subnormal or 0; the default degree is still the cap
+    assert shift_study(width, [], SpaceParams(1.0, 2.0, 2.0), frame_j3) == []
