@@ -210,8 +210,7 @@ def cmd_rule(args: argparse.Namespace, cfg: RunConfig) -> int:
         _write_csv(path, ["index", "node", "gauss_weight", "christoffel_weight"], rows)
     else:
         rows = _table_rows(
-            rule.nodes.shape[0],
-            lambda r: (rule.nodes[r, 0], rule.nodes[r, 1], rule.weights[r]),
+            rule.node_count, lambda r: (*rule.nodes_at(r).T, rule.weights_at(r))
         )
         _write_csv(path, ["index", "node_1", "node_2", "weight"], rows)
     print(path)
@@ -248,10 +247,9 @@ def cmd_frame(args: argparse.Namespace, cfg: RunConfig) -> int:
         path = os.path.join(cfg.output_dir, f"frame_level_{level.j}.csv")
 
         def columns(rows, lev=level):
-            cols = [lev.nodes[rows, axis] for axis in range(lev.d)] + [lev.weights[rows]]
-            # the tile of each node, as FrameLevel.tile_box gives it
-            for i in np.unravel_index(rows, (2 * lev.half_nodes,) * lev.d):
-                cols += [lev.interval_bounds[i], lev.interval_bounds[i + 1]]
+            cols = [*lev.nodes_at(rows).T, lev.weights_at(rows)]
+            for lo, hi in zip(*lev.tile_box(rows)):
+                cols += [lo, hi]
             return cols
 
         _write_csv(
@@ -273,10 +271,10 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
     def rows():
         for j in sorted(coeffs.level_values):
             values = coeffs.level_values[j]
-            nodes = frame.levels[j].nodes
+            level = frame.levels[j]
 
             def columns(r):
-                return [nodes[r, axis] for axis in range(frame.d)] + [values[r]]
+                return [*level.nodes_at(r).T, values[r]]
 
             for row in _table_rows(len(values), columns):
                 yield (str(j),) + row

@@ -177,15 +177,25 @@ def _tile_blocks(s: NeedletCoefficients, frame: NeedletFrame, axis: np.ndarray):
 def _scale_combine(pairs, alpha: float, q: float):
     """(sum_j (2^(alpha j) |g_j|)^q)^(1/q) over (j, g_j) pairs, sup for q = inf.
 
-    Pointwise for arrays; 0.0 when there are no pairs.
+    Pointwise for arrays; 0.0 when there are no pairs.  Holds at most three
+    arrays: the sum, one g_j and its term (g_j goes before the next is drawn).
     """
-    acc = 0.0
+    acc = None
     for j, g in pairs:
-        term = 2.0 ** (alpha * j) * np.abs(g)
-        if q == INF:
+        term = np.abs(g)
+        del g
+        term *= 2.0 ** (alpha * j)
+        if q != INF:
+            term **= q
+        if acc is None:
+            acc = term
+        elif q == INF:
             acc = np.maximum(acc, term)
         else:
-            acc += term**q
+            acc += term
+        del term
+    if acc is None:
+        return 0.0
     return acc if q == INF else acc ** (1.0 / q)
 
 
@@ -429,7 +439,6 @@ def shift_study(
     frame: NeedletFrame,
     grid: GridSpec | None = None,
     degree: int | None = None,
-    quad_order: int | None = None,
 ) -> list[ShiftRow]:
     """Norms of a shifted bump: rows (y, L2, B-norm, F-norm, tail).
 
@@ -454,8 +463,7 @@ def shift_study(
         # floor keeps a tiny width**2 from underflowing to 0
         need = SHIFT_STUDY_DEGREE / max(bump_width**2, SHIFT_STUDY_DEGREE / cap)
         degree = min(cap, max(256, int(math.ceil(need))))
-    if quad_order is None:
-        quad_order = 2 * degree + 16
+    quad_order = 2 * degree + 16
     if grid is not None:
         for y in shifts:
             if abs(y) + bump_width > grid.radius:
@@ -469,6 +477,11 @@ def shift_study(
         result = hermite_core.project_function(
             smooth_bump(bump_width, y, dim=1), degree, quad_order, dim=1
         )
+        if not np.any(result.expansion.array):
+            raise IngestionAccuracyError(
+                f"bump of width {bump_width} at shift {y} falls between the "
+                f"nodes of the order-{quad_order} rule and projects to zero"
+            )
         if result.tail > INGESTION_TAIL_TOL:
             raise IngestionAccuracyError(
                 f"projection tail {result.tail:.2e} at shift {y} exceeds "

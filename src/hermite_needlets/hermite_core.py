@@ -482,13 +482,11 @@ def project_function(
             degree, rule.nodes, rule.christoffel_weights * fvals
         )
     elif dim == 2:
-        pts = np.stack(
-            np.meshgrid(rule.nodes, rule.nodes, indexing="ij"), axis=-1
-        ).reshape(-1, 2)
-        fvals = np.asarray(f(pts), dtype=float).reshape(quad_order, quad_order)
-        w = rule.christoffel_weights
+        square = (quad_order, quad_order)
+        product = quadrature.CubatureRule(2, rule)
+        fvals = np.asarray(f(product.nodes), dtype=float).reshape(square)
         hmat = hermite_values(degree, rule.nodes)
-        weighted = (w[:, None] * w[None, :]) * fvals
+        weighted = product.weights.reshape(square) * fvals
         full = hmat @ weighted @ hmat.T
         coeff = total_degree_weights(np.ones(degree + 1), dim) * full
     else:

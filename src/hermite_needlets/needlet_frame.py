@@ -25,7 +25,6 @@ from .errors import (
     FrameDepthError,
     FrameMismatchError,
     ParameterError,
-    ResourceError,
 )
 from .hermite_core import HermiteExpansion
 
@@ -43,20 +42,19 @@ def half_node_count(j: int, delta: float = DELTA_DEFAULT) -> int:
 
 
 @dataclass(frozen=True)
-class FrameLevel:
-    """One frame level: tensor nodes, cubature weights, and tiles."""
+class FrameLevel(quadrature.CubatureRule):
+    """One frame level: its product rule plus the 1-d tile boundaries."""
 
     j: int
-    d: int
-    half_nodes: int
-    rule: quadrature.QuadratureRule1D
-    nodes: np.ndarray  # ((2N)**d, d), row-major over axis indices
-    weights: np.ndarray  # ((2N)**d,)
     interval_bounds: np.ndarray  # (2N+1,) 1-d tile boundaries
 
     @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
+    def rule(self) -> quadrature.QuadratureRule1D:
+        return self.base
+
+    @property
+    def half_nodes(self) -> int:
+        return self.base.n // 2
 
     def tile_lengths_1d(self) -> np.ndarray:
         return np.diff(self.interval_bounds)
@@ -67,13 +65,10 @@ class FrameLevel:
             return lengths.copy()
         return np.multiply.outer(lengths, lengths).ravel()
 
-    def tile_box(self, flat_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned tile (lo, hi) for the node with this flat index."""
-        n = 2 * self.half_nodes
-        idx = np.unravel_index(flat_index, (n,) * self.d)
-        lo = np.array([self.interval_bounds[i] for i in idx])
-        hi = np.array([self.interval_bounds[i + 1] for i in idx])
-        return lo, hi
+    def tile_box(self, flat_index) -> tuple[np.ndarray, np.ndarray]:
+        """Axis-aligned tile (lo, hi) of a flat index; (d, len) for an array."""
+        idx = np.asarray(self.axes(flat_index))
+        return self.interval_bounds[idx], self.interval_bounds[idx + 1]
 
     def cube_bounds(self) -> tuple[float, float]:
         """The cube covered by this level's tiles (one axis)."""
@@ -86,17 +81,11 @@ def build_level(
     delta: float = DELTA_DEFAULT,
     node_budget: int = quadrature.DEFAULT_NODE_BUDGET,
 ) -> FrameLevel:
-    """Construct the level-j node set, weights, and tile boundaries."""
-    if d not in (1, 2):
-        raise DimensionMismatchError(f"unsupported dimension {d}, expected 1 or 2")
+    """Construct the level-j rule and tile boundaries."""
     n_half = half_node_count(j, delta)
     order = 2 * n_half
-    if order**d > node_budget:
-        raise ResourceError(
-            f"level {j} needs {order}**{d} nodes, over budget {node_budget}"
-        )
-    cubature = quadrature.product_cubature(order, d, node_budget)
-    zeros = cubature.base.nodes
+    base = quadrature.product_cubature(order, d, node_budget).base
+    zeros = base.nodes
 
     # 1-d tile boundaries: midpoints between zeros, the origin splitting the
     # two central tiles, and an edge overhang of 2**(-j/6) beyond the last zero.
@@ -108,18 +97,8 @@ def build_level(
     bounds[n_half] = 0.0
     bounds[order] = zeros[-1] + overhang
 
-    cubature.nodes.setflags(write=False)
-    cubature.weights.setflags(write=False)
     bounds.setflags(write=False)
-    return FrameLevel(
-        j=j,
-        d=d,
-        half_nodes=n_half,
-        rule=cubature.base,
-        nodes=cubature.nodes,
-        weights=cubature.weights,
-        interval_bounds=bounds,
-    )
+    return FrameLevel(d=d, base=base, j=j, interval_bounds=bounds)
 
 
 @dataclass(frozen=True)
@@ -235,12 +214,14 @@ def smoothed_kernel(
 
 def phi_kernel(frame: NeedletFrame, j: int, x, y) -> float:
     """Analysis kernel at level j (projector kernel smoothed by a_hat)."""
-    return _level_kernel(frame, j, x, y, frame.pair.a_hat)
+    x, y = (hermite_core._as_point(p, frame.d) for p in (x, y))
+    return float(_level_kernel(frame, j, x, y, frame.pair.a_hat)[0])
 
 
 def psi_kernel(frame: NeedletFrame, j: int, x, y) -> float:
     """Synthesis kernel at level j (smoothed by b_hat)."""
-    return _level_kernel(frame, j, x, y, frame.pair.b_hat)
+    x, y = (hermite_core._as_point(p, frame.d) for p in (x, y))
+    return float(_level_kernel(frame, j, x, y, frame.pair.b_hat)[0])
 
 
 def _frame_level(frame: NeedletFrame, j: int) -> FrameLevel:
@@ -249,12 +230,15 @@ def _frame_level(frame: NeedletFrame, j: int) -> FrameLevel:
     return frame.levels[j]
 
 
-def _level_kernel(frame, j, x, y, cutoff) -> float:
+def _level_kernel(frame, j, x, y, cutoff, dx_order=0) -> np.ndarray:
+    """Level-j kernel smoothed by ``cutoff`` at paired points ``x``, ``y``.
+
+    Points have shape (npts,) for d = 1 or (npts, d) for d = 2; ``dx_order``
+    1 gives the derivative in x_1.
+    """
     _frame_level(frame, j)
-    px = hermite_core._as_point(x, frame.d).reshape(1, -1)
-    py = hermite_core._as_point(y, frame.d).reshape(1, -1)
     w = filter_weights(cutoff, j, level_band(j)[1])
-    return float(hermite_core.filtered_kernel(w, px, py, frame.d)[0])
+    return hermite_core.filtered_kernel(w, x, y, frame.d, dx_order)
 
 
 def needlet_eval(frame: NeedletFrame, side: str, j: int, node_index: int, x) -> float:
@@ -264,9 +248,9 @@ def needlet_eval(frame: NeedletFrame, side: str, j: int, node_index: int, x) -> 
     level = _frame_level(frame, j)
     if not 0 <= node_index < level.node_count:
         raise ParameterError(f"node index {node_index} outside level {j}")
-    xi = level.nodes[node_index]
+    xi = level.nodes_at(node_index)
     kern = phi_kernel if side == "analysis" else psi_kernel
-    return math.sqrt(level.weights[node_index]) * kern(frame, j, x, xi)
+    return math.sqrt(level.weights_at(node_index)) * kern(frame, j, x, xi)
 
 
 @dataclass
@@ -327,7 +311,10 @@ def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
         vals = hmat.T @ filtered
         if f.dim == 2:
             vals = vals @ hmat
-        out[level.j] = np.sqrt(level.weights) * vals.ravel()
+        s = level.weights  # formed afresh, so scaled in place
+        np.sqrt(s, out=s)
+        s *= vals.ravel()
+        out[level.j] = s
     return NeedletCoefficients(frame=frame, level_values=out)
 
 
@@ -349,7 +336,9 @@ def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpan
         level = frame.levels[j]
         _, hi = level_band(j)
         hi = min(hi, cap)
-        g = np.sqrt(level.weights) * values
+        g = level.weights  # formed afresh, so scaled in place
+        np.sqrt(g, out=g)
+        g *= values
         hmat = hermite_core.hermite_values(hi, level.rule.nodes)
         if frame.d == 1:
             block = hmat @ g
@@ -378,16 +367,6 @@ class LocalizationReport:
 LOCALIZATION_WINDOW = 40.0
 
 
-def _ray_kernel_values(frame, j, xi, pts_x, dx_order):
-    pts_y = (
-        np.full_like(pts_x, xi[0])
-        if frame.d == 1
-        else np.broadcast_to(xi, pts_x.shape)
-    )
-    w = filter_weights(frame.pair.a_hat, j, level_band(j)[1])
-    return hermite_core.filtered_kernel(w, pts_x, pts_y, frame.d, dx_order)
-
-
 def localization_profile(
     frame: NeedletFrame,
     j: int,
@@ -408,7 +387,7 @@ def localization_profile(
     level = _frame_level(frame, j)
     if not 0 <= node_index < level.node_count:
         raise ParameterError(f"node index {node_index} outside level {j}")
-    xi = level.nodes[node_index]
+    xi = level.nodes_at(node_index)
     offsets = np.linspace(
         -LOCALIZATION_WINDOW, LOCALIZATION_WINDOW, n_samples
     ) / 2.0**j
@@ -422,7 +401,8 @@ def localization_profile(
         direction = np.array([1.0, 1.0]) / math.sqrt(2.0)
         pts_x = xi[None, :] + all_offsets[:, None] * direction[None, :]
         xinf = np.max(np.abs(pts_x), axis=1)
-    vals = _ray_kernel_values(frame, j, xi, pts_x, dx_order)
+    pts_y = np.broadcast_to(xi, pts_x.shape)
+    vals = _level_kernel(frame, j, pts_x, pts_y, frame.pair.a_hat, dx_order)
     dist = np.abs(all_offsets)
     weighted = np.abs(vals) * (1.0 + 2.0**j * dist) ** k
     inner = (dist <= LOCALIZATION_WINDOW / 2.0**j + 1e-12) & (xinf < tail_radius)

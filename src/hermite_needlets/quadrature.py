@@ -65,12 +65,39 @@ class QuadratureRule1D:
 
 @dataclass(frozen=True)
 class CubatureRule:
-    """Tensor-product rule exact for f*g with f in V_l, g in V_m, l+m <= 2n-1."""
+    """Tensor-product rule exact for f*g with f in V_l, g in V_m, l+m <= 2n-1.
+
+    Only the 1-d rule is stored: row r is the row-major multi-index
+    ``axes(r)`` into its nodes, weighted by their Christoffel weights' product.
+    """
 
     d: int
     base: QuadratureRule1D
-    nodes: np.ndarray  # (n**d, d)
-    weights: np.ndarray  # (n**d,)
+
+    @property
+    def node_count(self) -> int:
+        return self.base.n**self.d
+
+    def axes(self, rows):
+        """Per-axis base indices of the given flat rows, row-major."""
+        return np.unravel_index(rows, (self.base.n,) * self.d)
+
+    def nodes_at(self, rows) -> np.ndarray:
+        """Nodes of the given rows: shape (len(rows), d), or (d,) for one row."""
+        return np.stack([self.base.nodes[i] for i in self.axes(rows)], axis=-1)
+
+    def weights_at(self, rows):
+        """Weights of the given rows: the products of their axes' weights."""
+        return math.prod(self.base.christoffel_weights[i] for i in self.axes(rows))
+
+    @property
+    def nodes(self) -> np.ndarray:  # (n**d, d), formed when read
+        return self.nodes_at(np.arange(self.node_count))
+
+    @property
+    def weights(self) -> np.ndarray:  # (n**d,), a fresh array at each read
+        lam = self.base.christoffel_weights
+        return lam.copy() if self.d == 1 else np.multiply.outer(lam, lam).ravel()
 
 
 def _newton_polish(n: int, t: np.ndarray) -> np.ndarray:
@@ -201,18 +228,7 @@ def product_cubature(
         raise DimensionMismatchError(f"unsupported dimension {d}, expected 1 or 2")
     if n**d > node_budget:
         raise ResourceError(f"{n}**{d} nodes exceed the budget {node_budget}")
-    base = gauss_hermite_rule(n)
-    if d == 1:
-        nodes = base.nodes.reshape(-1, 1)
-        weights = base.christoffel_weights.copy()
-    else:
-        nodes = np.stack(
-            np.meshgrid(base.nodes, base.nodes, indexing="ij"), axis=-1
-        ).reshape(-1, 2)
-        weights = np.multiply.outer(
-            base.christoffel_weights, base.christoffel_weights
-        ).ravel()
-    return CubatureRule(d=d, base=base, nodes=nodes, weights=weights)
+    return CubatureRule(d=d, base=gauss_hermite_rule(n))
 
 
 def integrate(rule: CubatureRule, f: Callable) -> float:

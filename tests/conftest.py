@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,16 @@ def random_expansion_2d(degree: int, rng) -> HermiteExpansion:
         for a2 in range(degree + 1 - a1):
             coeffs[(a1, a2)] = rng.standard_normal()
     return HermiteExpansion(2, degree, coeffs)
+
+
+def stored_sizes(obj):
+    """(field, number of values) for every field of a dataclass, recursively."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from stored_sizes(value)
+        else:
+            yield f.name, np.size(value)
 
 
 TEST_SET_DEGREES = [1, 3, 7, 12, 16, 24, 32, 48, 57, 64]

@@ -17,6 +17,24 @@ def run(args):
 
 
 class TestRule:
+    def test_d2_rows_across_chunks(self, tmp_path, monkeypatch):
+        # the rows of each chunk are formed on their own; each must still be
+        # the product rule's node and weight, formatted as before
+        import hermite_needlets.cli as cli
+        from hermite_needlets.quadrature import product_cubature
+
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+        out = tmp_path / "rule.csv"
+        assert run(["rule", "--n", "9", "--d", "2", "--out", str(out)]) == 0
+        rule = product_cubature(9, 2)
+        nodes, weights = rule.nodes, rule.weights
+        lines = out.read_text().splitlines()
+        assert lines[0] == "index,node_1,node_2,weight"
+        assert len(lines) == 9**2 + 1
+        for i, line in enumerate(lines[1:]):
+            cells = [str(i)] + [cli._fmt(c) for c in nodes[i]] + [cli._fmt(weights[i])]
+            assert line == ",".join(cells)
+
     def test_two_point_rule(self, tmp_path):
         out = tmp_path / "rule.csv"
         assert run(["rule", "--n", "2", "--d", "1", "--out", str(out)]) == 0
@@ -354,6 +372,17 @@ class TestDecayAndShift:
         assert "inner_max=" in msg and "tail_max=" in msg
         lines = out.read_text().splitlines()
         assert lines[0] == "offset,kernel,weighted"
+
+    def test_unresolved_bump_exits_2(self, tmp_path, capsys):
+        # no node of the order-528 rule falls inside a bump of width 0.001,
+        # so its projection is zero; that is not the zero function
+        out = tmp_path / "shift.csv"
+        argv = ["shift-study", "--shifts", "0,0.3", "--width", "0.001",
+                "--j-max", "1", "--degree", "256", "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "width 0.001" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_shift_study_csv(self, tmp_path):
         out = tmp_path / "shift.csv"

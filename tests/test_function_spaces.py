@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,3 +459,26 @@ def test_shift_study_rejects_non_positive_width(frame_j3, width):
 def test_shift_study_default_degree_for_narrow_width(frame_j3, width):
     # width**2 is subnormal or 0; the default degree is still the cap
     assert shift_study(width, [], SpaceParams(1.0, 2.0, 2.0), frame_j3) == []
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, math.inf])
+def test_scale_combine_holds_three_arrays(q):
+    # each level's values are dropped before the next level is drawn, and
+    # the term is added in place: acc, one level's values and its term
+    size = 1 << 20
+    levels = {j: np.linspace(0.5, 2.0 + j, size) for j in range(5)}
+    pairs = ((j, v.copy()) for j, v in levels.items())  # one fresh array per level
+    tracemalloc.start()
+    try:
+        got = fs._scale_combine(pairs, 0.5, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * size) <= 3.01
+    # the same arithmetic as a plain sum of powers (a running max for q = inf)
+    want = 0.0
+    for j, v in levels.items():
+        term = 2.0 ** (0.5 * j) * np.abs(v)
+        want = np.maximum(want, term) if q == math.inf else want + term**q
+    want = want if q == math.inf else want ** (1.0 / q)
+    assert got.tobytes() == want.tobytes()

@@ -25,6 +25,7 @@ from hermite_needlets import hermite_core as hc
 from hermite_needlets import needlet_frame as nf
 
 from conftest import random_expansion_1d, random_expansion_2d
+from conftest import stored_sizes
 
 
 class TestLevelConstruction:
@@ -43,6 +44,21 @@ class TestLevelConstruction:
     def test_node_counts(self, frame_j3):
         for level in frame_j3.levels:
             assert level.node_count == (2 * level.half_nodes) ** level.d
+
+    def test_d2_level_stores_only_the_1d_rule_and_bounds(self):
+        level = build_level(2, 2)
+        sizes = dict(stored_sizes(level))
+        assert max(sizes.values()) <= level.base.n + 1, sizes
+        assert level.node_count == level.base.n**2 == level.nodes.shape[0]
+
+    def test_tile_box_of_rows(self, frame_d2_j3):
+        level = frame_d2_j3.levels[1]
+        rows = np.arange(level.node_count)
+        lo, hi = level.tile_box(rows)
+        for i in (0, 5, level.node_count - 1):
+            one_lo, one_hi = level.tile_box(i)
+            assert lo[:, i].tolist() == one_lo.tolist()
+            assert hi[:, i].tolist() == one_hi.tolist()
 
     def test_level_normalization(self, frame_j3):
         # cubature exactness at degree (0, 0)

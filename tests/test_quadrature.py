@@ -16,6 +16,8 @@ from hermite_needlets import (
 from hermite_needlets import hermite_core as hc
 from hermite_needlets import quadrature as quad
 
+from conftest import stored_sizes
+
 SQRT_PI = math.sqrt(math.pi)
 
 
@@ -297,3 +299,42 @@ class TestCubature:
     def test_bad_dimension(self):
         with pytest.raises(DimensionMismatchError):
             product_cubature(4, 3)
+
+
+def bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestProductLayout:
+    """One row-major layout: rows of the product rule from its 1-d rule."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_rows_match_meshgrid_construction(self, n, d):
+        rule = product_cubature(n, d)
+        base = rule.base
+        if d == 1:
+            nodes = base.nodes.reshape(-1, 1)
+            weights = base.christoffel_weights.copy()
+        else:
+            nodes = np.stack(
+                np.meshgrid(base.nodes, base.nodes, indexing="ij"), axis=-1
+            ).reshape(-1, 2)
+            weights = np.multiply.outer(
+                base.christoffel_weights, base.christoffel_weights
+            ).ravel()
+        rows = np.arange(n**d)
+        assert rule.node_count == n**d
+        assert bitwise_equal(rule.nodes, nodes)
+        assert bitwise_equal(rule.weights, weights)
+        assert bitwise_equal(rule.nodes_at(rows), nodes)
+        assert bitwise_equal(rule.weights_at(rows), weights)
+        for r in rows:
+            assert bitwise_equal(rule.nodes_at(r), nodes[r])
+            assert bitwise_equal(rule.weights_at(r), weights[r])
+
+    def test_d2_stores_only_the_1d_rule(self):
+        rule = product_cubature(40, 2)
+        sizes = dict(stored_sizes(rule))
+        assert max(sizes.values()) <= rule.base.n + 1, sizes
