@@ -172,6 +172,8 @@ def _parse_function(
             coeffs = {tuple(int(a) for a in alpha): float(c) for alpha, c in data["coeffs"]}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed hermite spec: {exc}") from exc
+        if dim != cfg.dimension:  # checked before the (degree+1)**dim array is built
+            raise ParameterError(f"hermite dim {dim} is not --dimension {cfg.dimension}")
         degree = max((sum(a) for a in coeffs), default=0)
         return hc.HermiteExpansion(dim, degree, coeffs)
     if spec.startswith("bump:"):
@@ -184,15 +186,10 @@ def _parse_function(
         if not all(math.isfinite(v) for v in parts):
             raise ParameterError(f"bump spec has a non-finite value: {spec!r}")
         width = parts[0]
-        center = parts[1:] or [0.0]
-        if len(center) == 1 and cfg.dimension > 1:
-            center = center * cfg.dimension
+        center = parts[1:] or [0.0]  # smooth_bump repeats one value on every axis
         if degree is None:  # the most that analyze -> synthesize returns unchanged
             degree = min(4 ** (cfg.j_max - 1), 256) if cfg.j_max else 0
-        if quad_order is None:
-            quad_order = 2 * degree + 16
-        bump = fs.smooth_bump(width, np.asarray(center), dim=cfg.dimension)
-        return hc.project_function(bump, degree, quad_order, dim=cfg.dimension).expansion
+        return fs.project_bump(width, center, cfg.dimension, degree, quad_order).expansion
     raise ParameterError(f"function spec must start with 'hermite:' or 'bump:', got {spec!r}")
 
 

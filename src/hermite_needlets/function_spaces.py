@@ -144,13 +144,13 @@ def _expansion_blocks(
     """Yield every level's values on the next block of grid rows.
 
     A block is an iterator of ``(j, values)`` pairs, computed as it is read,
-    so read each block before asking for the next.  The row Hermite matrix
-    is evaluated once per block; for d = 2 the column matrix once per call.
+    so read each block before asking for the next.  The first axis contracts
+    with the block's row Hermite matrix, the others with the whole axis's.
     """
-    cols = hermite_core.hermite_values(degree, axis) if dim == 2 else None
+    cols = [hermite_core.hermite_values(degree, axis) for _ in range(dim - 1)]
     for rows in _row_slices(axis.size, max(axis.size ** (dim - 1), degree + 1)):
-        h = hermite_core.hermite_values(degree, axis[rows]).T
-        yield ((j, h @ c if cols is None else h @ c @ cols) for j, c in filtered.items())
+        mats = [hermite_core.hermite_values(degree, axis[rows]), *cols]
+        yield ((j, hermite_core.contract_axes(c, mats)) for j, c in filtered.items())
 
 
 def _tile_blocks(s: NeedletCoefficients, frame: NeedletFrame, axis: np.ndarray):
@@ -162,14 +162,13 @@ def _tile_blocks(s: NeedletCoefficients, frame: NeedletFrame, axis: np.ndarray):
     tables = {}
     for j, values in sorted(s.level_values.items()):
         level = frame.levels[j]
-        n = 2 * level.half_nodes
         idx = np.searchsorted(level.interval_bounds, axis, side="right") - 1
-        idx[idx == n] = -1
+        idx[idx == level.rule.n] = -1
         scaled = np.abs(values) / np.sqrt(level.tile_measures())
-        tables[j] = np.pad(scaled.reshape((n,) * frame.d), (0, 1)), idx
+        tables[j] = np.pad(scaled.reshape(level.shape), (0, 1)), idx
     for rows in _row_slices(axis.size, axis.size ** (frame.d - 1)):
         yield (
-            (j, table[idx[rows]] if frame.d == 1 else table[np.ix_(idx[rows], idx)])
+            (j, table[np.ix_(idx[rows], *(idx,) * (frame.d - 1))])
             for j, (table, idx) in tables.items()
         )
 
@@ -418,6 +417,25 @@ def smooth_bump(width: float = 1.0, center=0.0, dim: int = 1) -> Callable:
     return f
 
 
+def project_bump(
+    width: float, center, dim: int, degree: int, quad_order: int | None = None
+) -> hermite_core.ProjectionResult:
+    """``project_function`` of ``smooth_bump(width, center, dim)``.
+
+    The rule order defaults to 2*degree + 16.  A bump that no node reaches
+    projects to zero and raises IngestionAccuracyError.
+    """
+    quad_order = 2 * degree + 16 if quad_order is None else quad_order
+    bump = smooth_bump(width, center, dim)
+    result = hermite_core.project_function(bump, degree, quad_order, dim)
+    if not np.any(result.expansion.array):
+        raise IngestionAccuracyError(
+            f"bump of width {width} at {center} falls between the nodes of the "
+            f"order-{quad_order} rule and projects to zero"
+        )
+    return result
+
+
 class ShiftRow(NamedTuple):
     y: float
     l2: float
@@ -463,7 +481,6 @@ def shift_study(
         # floor keeps a tiny width**2 from underflowing to 0
         need = SHIFT_STUDY_DEGREE / max(bump_width**2, SHIFT_STUDY_DEGREE / cap)
         degree = min(cap, max(256, int(math.ceil(need))))
-    quad_order = 2 * degree + 16
     if grid is not None:
         for y in shifts:
             if abs(y) + bump_width > grid.radius:
@@ -474,14 +491,7 @@ def shift_study(
     j_top = max(frame.j_max, levels_for_degree(degree))
     rows = []
     for y in shifts:
-        result = hermite_core.project_function(
-            smooth_bump(bump_width, y, dim=1), degree, quad_order, dim=1
-        )
-        if not np.any(result.expansion.array):
-            raise IngestionAccuracyError(
-                f"bump of width {bump_width} at shift {y} falls between the "
-                f"nodes of the order-{quad_order} rule and projects to zero"
-            )
+        result = project_bump(bump_width, y, 1, degree)
         if result.tail > INGESTION_TAIL_TOL:
             raise IngestionAccuracyError(
                 f"projection tail {result.tail:.2e} at shift {y} exceeds "

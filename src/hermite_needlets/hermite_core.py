@@ -8,7 +8,9 @@ All evaluation goes through the normalized three-term recurrence
 run on the polynomial part with a per-point log-scale ledger, so degrees up
 to ``DEGREE_CAP`` and arguments far outside the oscillatory region do not
 overflow.  One generator, ``_ledger_steps``, owns the recurrence step, the
-rescale test and the ledger; every evaluation here consumes it.
+rescale test and the ledger; every evaluation here consumes it.  Needlet
+coefficients are per-axis contractions (``contract_axes``) with a Hermite
+matrix whose columns carry sqrt(lambda), the root Christoffel weights.
 """
 
 from __future__ import annotations
@@ -116,22 +118,26 @@ def hermite_function_derivative(n: int, t: float) -> float:
     return float(deriv[0] * np.exp(ls[0]))
 
 
-def hermite_values(max_degree: int, points: np.ndarray) -> np.ndarray:
-    """Matrix of h_k(points) for k = 0..max_degree, shape (max_degree+1, npts).
+def hermite_values(max_degree: int, points: np.ndarray, weights=None) -> np.ndarray:
+    """Matrix of w_i*h_k(t_i) for k = 0..max_degree, shape (max_degree+1, npts).
 
-    Each row is the polynomial part times exp(logscale), with exp(logscale)
-    recomputed only at points the ledger rescaled.  Entries whose true
-    magnitude is below roughly 1e-290 may flush to zero, and so may larger
-    ones where the ledger's exp(logscale) underflows: beyond |t| of about 37.6
-    and below the degree where the polynomial part first rescales.
+    Each row is the polynomial part times w*exp(logscale), with exp(logscale)
+    recomputed only at points the ledger rescaled: the ``weights`` (w = 1 if
+    omitted) take no pass of their own.  Entries whose true magnitude is below
+    roughly 1e-290 may flush to zero, and so may larger ones where the
+    ledger's exp(logscale) underflows: beyond |t| of about 37.6 and below the
+    degree where the polynomial part first rescales.
     """
     _check_degree(max_degree)
     t = np.asarray(points, dtype=float).ravel()
     out = np.empty((max_degree + 1, t.size))
     scale = np.exp(-0.5 * t * t)
+    if weights is not None:
+        scale *= weights
     for k, (_, p, _, logscale, rescaled) in enumerate(_ledger_steps(max_degree, t)):
         if rescaled is not None:
-            scale[rescaled] = np.exp(logscale[rescaled])
+            w = 1.0 if weights is None else weights[rescaled]
+            scale[rescaled] = w * np.exp(logscale[rescaled])
         np.multiply(p, scale, out=out[k])
     return out
 
@@ -265,6 +271,13 @@ def total_degree_weights(w: np.ndarray, dim: int) -> np.ndarray:
         padded = np.concatenate((w, np.zeros(w.size - 1)))
         return np.lib.stride_tricks.sliding_window_view(padded, w.size).copy()
     raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")
+
+
+def contract_axes(arr: np.ndarray, mats) -> np.ndarray:
+    """Contract axis i of ``arr`` with the rows of ``mats[i]``; axes stay in order."""
+    for m in mats:
+        arr = np.tensordot(arr, m, axes=(0, 0))
+    return arr
 
 
 def filtered_kernel(
@@ -445,10 +458,7 @@ class HermiteExpansion:
 def evaluate_expansion(f: HermiteExpansion, x) -> float:
     """Pointwise value sum_alpha c_alpha H_alpha(x)."""
     pt = _as_point(x, f.dim)
-    total = f.array
-    for coord in pt[::-1]:
-        total = total @ hermite_values(f.degree, np.asarray([coord]))[:, 0]
-    return float(total)
+    return float(contract_axes(f.array, hermite_values(f.degree, pt).T))
 
 
 class ProjectionResult(NamedTuple):
@@ -482,12 +492,10 @@ def project_function(
             degree, rule.nodes, rule.christoffel_weights * fvals
         )
     elif dim == 2:
-        square = (quad_order, quad_order)
-        product = quadrature.CubatureRule(2, rule)
-        fvals = np.asarray(f(product.nodes), dtype=float).reshape(square)
-        hmat = hermite_values(degree, rule.nodes)
-        weighted = product.weights.reshape(square) * fvals
-        full = hmat @ weighted @ hmat.T
+        product = quadrature.CubatureRule(dim, rule)
+        fvals = np.asarray(f(product.nodes), dtype=float).reshape(product.shape)
+        hmat = hermite_values(degree, rule.nodes, rule.christoffel_weights)
+        full = contract_axes(fvals, [hmat.T] * dim)
         coeff = total_degree_weights(np.ones(degree + 1), dim) * full
     else:
         raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")

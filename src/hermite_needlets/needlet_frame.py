@@ -7,7 +7,8 @@ Level j uses the zeros of the Hermite polynomial of degree 2*N_j, where
 together with the Christoffel weights of that rule.  Band-limited functions
 are carried as Hermite coefficient arrays, so analysis and synthesis reduce
 to coefficient filtering plus exact cubature and the frame identities hold
-at machine precision.
+at machine precision.  Coefficients are per-axis contractions with the
+level's Hermite matrix scaled by the square roots of the Christoffel weights.
 """
 
 from __future__ import annotations
@@ -60,10 +61,7 @@ class FrameLevel(quadrature.CubatureRule):
         return np.diff(self.interval_bounds)
 
     def tile_measures(self) -> np.ndarray:
-        lengths = self.tile_lengths_1d()
-        if self.d == 1:
-            return lengths.copy()
-        return np.multiply.outer(lengths, lengths).ravel()
+        return self.axis_product(self.tile_lengths_1d())
 
     def tile_box(self, flat_index) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned tile (lo, hi) of a flat index; (d, len) for an array."""
@@ -291,8 +289,8 @@ class NeedletCoefficients:
 def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
     """Needlet coefficients lambda**(1/2) * (Phi_j * f)(xi) for all levels.
 
-    Exact for band-limited input: the convolution is coefficient filtering
-    and the node values are computed directly.
+    Exact for band-limited input: the convolution is coefficient filtering,
+    contracted on every axis with the lambda**(1/2)-scaled Hermite matrix.
     """
     if f.dim != frame.d:
         raise DimensionMismatchError(
@@ -307,14 +305,9 @@ def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
         filtered = level_filter(frame.pair.a_hat, level.j, f.degree, f.dim) * f.array
         if not np.any(filtered):
             continue
-        hmat = hermite_core.hermite_values(f.degree, level.rule.nodes)
-        vals = hmat.T @ filtered
-        if f.dim == 2:
-            vals = vals @ hmat
-        s = level.weights  # formed afresh, so scaled in place
-        np.sqrt(s, out=s)
-        s *= vals.ravel()
-        out[level.j] = s
+        root_weights = np.sqrt(level.rule.christoffel_weights)
+        hmat = hermite_core.hermite_values(f.degree, level.rule.nodes, root_weights)
+        out[level.j] = hermite_core.contract_axes(filtered, [hmat] * f.dim).ravel()
     return NeedletCoefficients(frame=frame, level_values=out)
 
 
@@ -334,16 +327,10 @@ def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpan
     acc = np.zeros(shape)
     for j, values in sorted(coeffs.level_values.items()):
         level = frame.levels[j]
-        _, hi = level_band(j)
-        hi = min(hi, cap)
-        g = level.weights  # formed afresh, so scaled in place
-        np.sqrt(g, out=g)
-        g *= values
-        hmat = hermite_core.hermite_values(hi, level.rule.nodes)
-        if frame.d == 1:
-            block = hmat @ g
-        else:
-            block = hmat @ g.reshape(level.rule.n, level.rule.n) @ hmat.T
+        hi = min(level_band(j)[1], cap)
+        root_weights = np.sqrt(level.rule.christoffel_weights)
+        hmat = hermite_core.hermite_values(hi, level.rule.nodes, root_weights)
+        block = hermite_core.contract_axes(values.reshape(level.shape), [hmat.T] * frame.d)
         acc[(slice(0, hi + 1),) * frame.d] += (
             level_filter(frame.pair.b_hat, j, hi, frame.d) * block
         )
@@ -394,13 +381,9 @@ def localization_profile(
     tail_radius = 1.2 * math.sqrt(4.0 * 4.0**j + 2.0)
     tail_offsets = np.linspace(tail_radius, 1.5 * tail_radius, 40) - xi[0]
     all_offsets = np.concatenate([offsets, tail_offsets])
-    if frame.d == 1:
-        pts_x = xi[0] + all_offsets
-        xinf = np.abs(pts_x)
-    else:
-        direction = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        pts_x = xi[None, :] + all_offsets[:, None] * direction[None, :]
-        xinf = np.max(np.abs(pts_x), axis=1)
+    direction = np.full(frame.d, 1.0 / math.sqrt(frame.d))
+    pts_x = xi + all_offsets[:, None] * direction
+    xinf = np.max(np.abs(pts_x), axis=1)
     pts_y = np.broadcast_to(xi, pts_x.shape)
     vals = _level_kernel(frame, j, pts_x, pts_y, frame.pair.a_hat, dx_order)
     dist = np.abs(all_offsets)

@@ -78,9 +78,13 @@ class CubatureRule:
     def node_count(self) -> int:
         return self.base.n**self.d
 
+    @property
+    def shape(self) -> tuple[int, ...]:  # (n,)*d: the rows as a d-axis array
+        return (self.base.n,) * self.d
+
     def axes(self, rows):
         """Per-axis base indices of the given flat rows, row-major."""
-        return np.unravel_index(rows, (self.base.n,) * self.d)
+        return np.unravel_index(rows, self.shape)
 
     def nodes_at(self, rows) -> np.ndarray:
         """Nodes of the given rows: shape (len(rows), d), or (d,) for one row."""
@@ -94,10 +98,13 @@ class CubatureRule:
     def nodes(self) -> np.ndarray:  # (n**d, d), formed when read
         return self.nodes_at(np.arange(self.node_count))
 
+    def axis_product(self, per_axis: np.ndarray) -> np.ndarray:
+        """Each row's product of ``per_axis`` over its axes, in a fresh array."""
+        return math.prod(np.ix_(*(per_axis,) * self.d)).ravel()
+
     @property
     def weights(self) -> np.ndarray:  # (n**d,), a fresh array at each read
-        lam = self.base.christoffel_weights
-        return lam.copy() if self.d == 1 else np.multiply.outer(lam, lam).ravel()
+        return self.axis_product(self.base.christoffel_weights)
 
 
 def _newton_polish(n: int, t: np.ndarray) -> np.ndarray:

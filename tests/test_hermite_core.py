@@ -320,6 +320,38 @@ class TestExpansion:
         )
 
 
+class TestWeightedValues:
+    def test_weights_scale_the_columns(self):
+        # past |t| of about 30 the ledger rescales before degree 1023, and
+        # the weights must survive each rescale
+        t = np.array([-40.0, -31.5, -3.0, 0.5, 12.25, 33.0, 40.0])
+        w = np.array([0.5, 2.0, 1.0, 3.0, 0.25, 1e-3, 7.0])
+        assert any(r is not None for *_, r in hc._ledger_steps(1023, t.copy()))
+        want = hc.hermite_values(1023, t) * w
+        np.testing.assert_allclose(hc.hermite_values(1023, t, w), want, rtol=1e-15, atol=0)
+
+
+class TestContractAxes:
+    """Axis i of the array contracts with the rows of matrix i, for d = 1, 2."""
+
+    def test_d1_matches_einsum(self):
+        rng = np.random.default_rng(11)
+        arr, m = rng.standard_normal(5), rng.standard_normal((5, 7))
+        got = hc.contract_axes(arr, [m])
+        assert got.shape == (7,)
+        np.testing.assert_allclose(got, np.einsum("a,ai->i", arr, m), rtol=1e-13)
+
+    def test_d2_matches_einsum_with_one_matrix_per_axis(self):
+        # non-square and different on each axis, so swapped axes would show
+        rng = np.random.default_rng(12)
+        arr = rng.standard_normal((4, 6))
+        m0, m1 = rng.standard_normal((4, 3)), rng.standard_normal((6, 9))
+        got = hc.contract_axes(arr, [m0, m1])
+        assert got.shape == (3, 9)
+        want = np.einsum("ab,ai,bj->ij", arr, m0, m1)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
 class TestProjection:
     def test_projects_basis_function(self):
         target = HermiteExpansion(1, 3, {(3,): 1.0})

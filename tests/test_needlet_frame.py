@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,27 @@ class TestTransforms:
         f = random_expansion_2d(8, rng)
         s = analyze(f, frame_d2_j3)
         assert s.sum_squares() == pytest.approx(f.l2_norm() ** 2, rel=1e-12)
+
+    def test_d2_transforms_form_no_weight_array(self, frame_d2_j3):
+        # n2 is the bytes of one array over the top level's nodes; the weights
+        # live in the per-axis Hermite matrices, so neither transform forms
+        # such an array beyond analyze's output
+        f = random_expansion_2d(16, np.random.default_rng(17))
+        n2 = frame_d2_j3.levels[-1].node_count * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            s = analyze(f, frame_d2_j3)
+            analyze_extra = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            synthesize(s, frame_d2_j3)
+            synthesize_extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        output = sum(v.nbytes for v in s.level_values.values())
+        assert (analyze_extra - output) / n2 < 0.5
+        assert synthesize_extra / n2 < 1.0
 
     def test_coefficient_access(self, frame_j3):
         f = HermiteExpansion(1, 0, {(0,): 1.0})

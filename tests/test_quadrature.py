@@ -8,6 +8,7 @@ from hermite_needlets import (
     InvalidDegreeError,
     NumericFailureError,
     ResourceError,
+    build_level,
     gauss_hermite_rule,
     hermite_zeros,
     integrate,
@@ -333,6 +334,13 @@ class TestProductLayout:
         for r in rows:
             assert bitwise_equal(rule.nodes_at(r), nodes[r])
             assert bitwise_equal(rule.weights_at(r), weights[r])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tile_measures_are_the_outer_product(self, d):
+        level = build_level(2, d)
+        lengths = level.tile_lengths_1d()
+        want = lengths.copy() if d == 1 else np.multiply.outer(lengths, lengths).ravel()
+        assert bitwise_equal(level.tile_measures(), want)
 
     def test_d2_stores_only_the_1d_rule(self):
         rule = product_cubature(40, 2)
