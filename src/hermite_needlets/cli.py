@@ -309,8 +309,9 @@ def cmd_reconstruct(args: argparse.Namespace, cfg: RunConfig) -> int:
                 raise ParameterError(
                     f"node index {i} outside level {j} (0..{count - 1})"
                 )
-            arr = level_values.setdefault(j, np.zeros(count))
-            arr[i] = v
+            if j not in level_values:
+                level_values[j] = np.zeros(count)
+            level_values[j][i] = v
     coeffs = nf.NeedletCoefficients(frame=frame, level_values=level_values)
     g = nf.synthesize(coeffs, frame)
     path = _out_path(cfg, args.out, "reconstruction.json")

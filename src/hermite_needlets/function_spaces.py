@@ -153,6 +153,13 @@ def _expansion_blocks(
         yield ((j, hermite_core.contract_axes(c, mats)) for j, c in filtered.items())
 
 
+def _scaled_tiles(values: np.ndarray, level) -> np.ndarray:
+    """|s_I| / sqrt(|I|) over the level's tiles, from per-axis lengths."""
+    scaled = level.axis_product(level.tile_lengths_1d() ** -0.5)
+    scaled *= np.abs(values)
+    return scaled
+
+
 def _tile_blocks(s: NeedletCoefficients, frame: NeedletFrame, axis: np.ndarray):
     """Yield every level's |s| / sqrt(tile measure) on the next block of rows.
 
@@ -164,8 +171,7 @@ def _tile_blocks(s: NeedletCoefficients, frame: NeedletFrame, axis: np.ndarray):
         level = frame.levels[j]
         idx = np.searchsorted(level.interval_bounds, axis, side="right") - 1
         idx[idx == level.rule.n] = -1
-        scaled = np.abs(values) / np.sqrt(level.tile_measures())
-        tables[j] = np.pad(scaled.reshape(level.shape), (0, 1)), idx
+        tables[j] = np.pad(_scaled_tiles(values, level).reshape(level.shape), (0, 1)), idx
     for rows in _row_slices(axis.size, axis.size ** (frame.d - 1)):
         yield (
             (j, table[np.ix_(idx[rows], *(idx,) * (frame.d - 1))])
@@ -198,11 +204,47 @@ def _scale_combine(pairs, alpha: float, q: float):
     return acc if q == INF else acc ** (1.0 / q)
 
 
+def _power_sum(values: np.ndarray, p: float, axis_weights=None) -> float:
+    """Sum of |v|^p over ``values``, each term times its axes' weights.
+
+    ``axis_weights`` holds one 1-d array per axis (None: weights 1).  The
+    sum is top^p * sum (|v|/top)^p, top the largest |v|, where every
+    |v|/top below 2^(-1000/p) counts as 2^(-1000/p): no power is then
+    below 2^-1000 (none is subnormal, which is slow), and the mass this
+    adds is below N 2^-1000 (largest weight / smallest weight) of the sum
+    for N entries.  For p < 1 no power of a normal double is subnormal and
+    |v|/top could be, so |v| is not divided; the cut is the same, and
+    moves nothing once 2^(-1000/p) underflows (p < 0.93).
+    """
+    mags = np.abs(values)
+    top = float(mags.max())
+    if top == 0.0:
+        return 0.0
+    scale = top if p >= 1.0 else 1.0
+    mags /= scale
+    np.maximum(mags, (top / scale) * 2.0 ** (-1000.0 / p), out=mags)
+    mags **= p
+    if axis_weights is None:
+        total = mags.sum()
+    else:
+        total = hermite_core.contract_axes(mags, axis_weights)
+    return float(np.float64(scale) ** p * total)  # inf, not OverflowError, past the range
+
+
+def _tile_power_sum(values: np.ndarray, p: float, level) -> float:
+    """sum over the level's tiles I of |I|^(1 - p/2) |s_I|^p, one factor per axis."""
+    weight = level.tile_lengths_1d() ** (1.0 - p / 2.0)
+    return _power_sum(values.reshape(level.shape), p, [weight] * level.d)
+
+
 def _lp_norms(blocks, p: float, cell_volume: float) -> dict[int, float]:
     """Grid L^p norm of each level in a stream of blocks of (j, values) pairs.
 
     Each level's sum of |values|^p is added across blocks (the max of
-    |values| for p = inf), so no level's full grid is ever held.
+    |values| for p = inf), so no level's full grid is ever held.  Each
+    block's sum is a ``_power_sum``: values below 2^(-1000/p) of the
+    block's largest |value| count as that cut, which adds less than
+    N 2^-1000 of the sum for a block of N values.
     """
     acc: dict[int, float] = defaultdict(float)
     for block in blocks:
@@ -210,7 +252,7 @@ def _lp_norms(blocks, p: float, cell_volume: float) -> dict[int, float]:
             if p == INF:
                 acc[j] = float(np.maximum(acc[j], np.max(np.abs(values))))
             else:
-                acc[j] += float(np.sum(np.abs(values) ** p))
+                acc[j] += _power_sum(values, p)
     return {j: t if p == INF else (t * cell_volume) ** (1.0 / p) for j, t in acc.items()}
 
 
@@ -292,10 +334,7 @@ def f_sequence_norm(
     if (method in ("auto", "closed")) and closed_ok:
         total = 0.0
         for j, values in s.level_values.items():
-            measures = frame.levels[j].tile_measures()
-            total += 2.0 ** (j * alpha * q) * float(
-                np.sum(np.abs(values) ** q * measures ** (1.0 - q / 2.0))
-            )
+            total += 2.0 ** (j * alpha * q) * _tile_power_sum(values, q, frame.levels[j])
         return total ** (1.0 / q)
     _validate_grid(grid, frame)
     return _combined_lp(_tile_blocks(s, frame, grid.axis()), params, grid.step**frame.d)
@@ -304,17 +343,21 @@ def f_sequence_norm(
 def b_sequence_norm(
     s: NeedletCoefficients, params: SpaceParams, frame: NeedletFrame
 ) -> float:
-    """Sequence-space twin of the scale-then-space norm (always exact)."""
+    """Sequence-space twin of the scale-then-space norm, on no grid.
+
+    For finite p each level's sum of |I|^(1 - p/2) |s_I|^p is a
+    ``_power_sum``: coefficients below 2^(-1000/p) of the level's largest
+    count as that cut, which adds less than N 2^-1000 (largest tile weight /
+    smallest tile weight) of the level's sum for N tiles.
+    """
     p, q, alpha = params.p, params.q, params.alpha
     level_terms = {}
     for j, values in s.level_values.items():
-        measures = frame.levels[j].tile_measures()
+        level = frame.levels[j]
         if p == INF:
-            level_terms[j] = float(np.max(np.abs(values) / np.sqrt(measures)))
+            level_terms[j] = float(np.max(_scaled_tiles(values, level)))
         else:
-            level_terms[j] = float(
-                np.sum(measures ** (1.0 - p / 2.0) * np.abs(values) ** p)
-            ) ** (1.0 / p)
+            level_terms[j] = _tile_power_sum(values, p, level) ** (1.0 / p)
     return float(_scale_combine(level_terms.items(), alpha, q))
 
 

@@ -306,6 +306,34 @@ class TestDecomposeReconstruct:
         assert code == 0
         assert len(coeffs.read_text().splitlines()) > 1
 
+    def test_reconstruct_allocates_each_level_once(self, tmp_path, monkeypatch):
+        import hermite_needlets.cli as cli
+
+        frame = build_frame(d=1, j_max=2)
+        coeffs = tmp_path / "c.csv"
+        rows = [
+            f"{level.j},{i},{0.01 * (i + 1)}"
+            for level in frame.levels
+            for i in range(level.node_count)
+        ]
+        coeffs.write_text("\n".join(["level,node_index,s_value", *rows]) + "\n")
+
+        class CountingNumpy:
+            zeros_calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, *args, **kwargs):
+                self.zeros_calls += 1
+                return np.zeros(*args, **kwargs)
+
+        counting = CountingNumpy()
+        monkeypatch.setattr(cli, "np", counting)
+        argv = ["reconstruct", "--coeffs", str(coeffs), "--j-max", "2"]
+        assert run(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        assert counting.zeros_calls <= len(frame.levels)
+
 
 class TestNorms:
     def test_ground_state_f_norm(self, capsys):

@@ -482,3 +482,90 @@ def test_scale_combine_holds_three_arrays(q):
         want = np.maximum(want, term) if q == math.inf else want + term**q
     want = want if q == math.inf else want ** (1.0 / q)
     assert got.tobytes() == want.tobytes()
+
+
+def _wide_range_values(rng, shape, top):
+    """Magnitudes from 1e-300 top to ``top``, with exact zeros, subnormals and 1e-300."""
+    v = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300.0, 0.0, size=shape)
+    v *= top
+    flat = v.reshape(-1)
+    flat[:4] = [0.0, -0.0, 5e-324, -2.5e-320]
+    flat[4:7] = [1e-310, 1e-300, -1e-300]
+    flat[7] = top
+    return v
+
+
+class TestPowerSum:
+    @pytest.mark.parametrize("p", [0.01, 0.5, 1.5, 3.0, 4.0, 40.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("big", [False, True])
+    def test_matches_fsum(self, p, d, weighted, big):
+        # big: the top at 1e300, or as high as keeps top^p below 1e250
+        rng = np.random.default_rng([int(100 * p), d, weighted, big])
+        shape = (300,) if d == 1 else (21, 17)
+        top = 10.0 ** min(300.0, 250.0 / p) if big else 1.0
+        values = _wide_range_values(rng, shape, top)
+        weights = [10.0 ** rng.uniform(-2.0, 2.0, size=n) for n in shape]
+        got = fs._power_sum(values, p, weights if weighted else None)
+        terms = []
+        for index in np.ndindex(*shape):
+            w = math.prod(weights[i][k] for i, k in enumerate(index)) if weighted else 1.0
+            terms.append(abs(float(values[index])) ** p * w)
+        assert got == pytest.approx(math.fsum(terms), rel=1e-14)
+
+    @pytest.mark.parametrize("p, top", [(0.01, 1.0), (0.01, 1e300), (0.5, 1e-300)])
+    def test_small_p_clips_nothing(self, p, top):
+        # pairs where the subnormal's power is a representable share of the sum
+        got = fs._power_sum(np.array([top, 5e-324]), p)
+        assert got > fs._power_sum(np.array([top]), p)
+        assert got == pytest.approx(top**p + 5e-324**p, rel=1e-15, abs=0.0)
+
+    def test_all_zero_is_zero(self):
+        assert fs._power_sum(np.zeros(5), 3.0) == 0.0
+        assert fs._power_sum(np.zeros((4, 3)), 0.5, [np.ones(4), np.ones(3)]) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p, q", [(1.5, 1.0), (3.0, 2.0), (4.0, 3.0), (INF, 2.0)])
+    def test_sequence_norms_match_full_array_formula(self, d, p, q, frame_j3, frame_d2_j3):
+        from conftest import random_expansion_2d
+
+        rng = np.random.default_rng([d, 7])
+        frame = frame_j3 if d == 1 else frame_d2_j3
+        f = random_expansion_1d(40, rng) if d == 1 else random_expansion_2d(20, rng)
+        s = analyze(f, frame)
+        alpha = 0.5
+        b_terms, f_total = [], 0.0
+        for j, values in s.level_values.items():
+            measures = frame.levels[j].tile_measures()
+            if p == INF:
+                b_terms.append(2.0 ** (alpha * j) * np.max(np.abs(values) / np.sqrt(measures)))
+                continue
+            level_sum = np.sum(measures ** (1.0 - p / 2.0) * np.abs(values) ** p)
+            b_terms.append(2.0 ** (alpha * j) * level_sum ** (1.0 / p))
+            f_total += 2.0 ** (j * alpha * p) * level_sum
+        want_b = np.sum(np.array(b_terms) ** q) ** (1.0 / q)
+        got_b = b_sequence_norm(s, SpaceParams(alpha, p, q), frame)
+        assert got_b == pytest.approx(want_b, rel=1e-14)
+        if p != INF:
+            got_f = f_sequence_norm(s, SpaceParams(alpha, p, p), frame, method="closed")
+            assert got_f == pytest.approx(f_total ** (1.0 / p), rel=1e-14)
+
+    def test_sequence_norms_form_no_tile_measure_array(self, frame_d2_j3):
+        # n2 is the bytes of one array over the top level's nodes; the tile
+        # weights are per-axis, so each norm forms just one |s| array
+        from conftest import random_expansion_2d
+
+        s = analyze(random_expansion_2d(16, np.random.default_rng(29)), frame_d2_j3)
+        assert frame_d2_j3.j_max in s.level_values
+        n2 = frame_d2_j3.levels[-1].node_count * 8
+        params = SpaceParams(0.5, 3.0, 3.0)
+        for norm in (b_sequence_norm, lambda *a: f_sequence_norm(*a, method="closed")):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                norm(s, params, frame_d2_j3)
+                extra = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert extra / n2 < 1.5
