@@ -363,7 +363,9 @@ def cmd_decay(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ParameterError(f"level {args.level} outside 0..{cfg.j_max}")
     frame = cfg.build_frame()
     level = frame.levels[args.level]
-    node = args.node if args.node is not None else level.node_count // 2
+    node = args.node
+    if node is None:  # the central node, (n/2, ..., n/2) on the level's n^d grid
+        node = int(np.ravel_multi_index(tuple(s // 2 for s in level.shape), level.shape))
     report = nf.localization_profile(
         frame, args.level, node, args.k, dx_order=args.deriv
     )

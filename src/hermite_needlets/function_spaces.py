@@ -447,11 +447,8 @@ def smooth_bump(width: float = 1.0, center=0.0, dim: int = 1) -> Callable:
         )
 
     def f(x):
-        x = np.asarray(x, dtype=float)
-        if dim == 1:
-            rsq = ((x - ctr[0]) / width) ** 2
-        else:
-            rsq = np.sum(((x - ctr) / width) ** 2, axis=-1)
+        x = np.asarray(x, dtype=float).reshape(-1, dim)
+        rsq = np.sum(((x - ctr) / width) ** 2, axis=-1)
         out = np.zeros_like(rsq)
         m = rsq < 1.0
         out[m] = np.exp(1.0 - 1.0 / (1.0 - rsq[m]))

@@ -46,6 +46,11 @@ def _check_degree(n: int) -> None:
         raise InvalidDegreeError(f"degree {n} outside [0, {DEGREE_CAP}]")
 
 
+def _check_dim(dim: int) -> None:
+    if dim not in (1, 2):
+        raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")
+
+
 def _ledger_steps(n: int, t: np.ndarray, squares: bool = False):
     """Run the recurrence on the polynomial part for degrees k = 0..n, in place.
 
@@ -220,6 +225,7 @@ def _point_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     px, py = _as_point(x), _as_point(y)
     if px.size != py.size:
         raise DimensionMismatchError("x and y have different dimensions")
+    _check_dim(px.size)
     return px, py
 
 
@@ -245,9 +251,9 @@ def partial_sum_kernel(n: int, x, y, method: str = "direct") -> float:
     px, py = _point_pair(x, y)
     if method not in ("direct", "cd"):
         raise ParameterError(f"unknown method {method!r}")
-    if method == "cd" and px.size == 2:
-        raise ParameterError("only the direct sum is available for d = 2")
-    if method == "cd" and px.size == 1:
+    if method == "cd":
+        if px.size != 1:
+            raise ParameterError("only the direct sum is available for d = 2")
         xv, yv = float(px[0]), float(py[0])
         if xv == yv:
             raise ParameterError("Christoffel-Darboux form needs x != y")
@@ -261,16 +267,15 @@ def total_degree_weights(w: np.ndarray, dim: int) -> np.ndarray:
     """Spread a weight per total degree over a dense coefficient array.
 
     ``w[nu]`` for nu = 0..n becomes the weight of every multi-index alpha
-    with |alpha| = nu: ``w`` itself for d = 1, and for d = 2 the Hankel
-    matrix W[k, l] = w[k + l], zero where k + l > n.
+    with |alpha| = nu: W[alpha] = w[|alpha|], zero where |alpha| > n (the
+    Hankel matrix W[k, l] = w[k + l] for d = 2).
     """
+    _check_dim(dim)
     w = np.asarray(w, dtype=float)
-    if dim == 1:
-        return w
-    if dim == 2:
-        padded = np.concatenate((w, np.zeros(w.size - 1)))
-        return np.lib.stride_tricks.sliding_window_view(padded, w.size).copy()
-    raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")
+    padded = np.concatenate((w, np.zeros((dim - 1) * (w.size - 1))))
+    # one element's stride on every axis, so W[alpha] = padded[sum(alpha)]
+    shape, strides = (w.size,) * dim, padded.strides * dim
+    return np.lib.stride_tricks.as_strided(padded, shape, strides).copy()
 
 
 def contract_axes(arr: np.ndarray, mats) -> np.ndarray:
@@ -278,6 +283,21 @@ def contract_axes(arr: np.ndarray, mats) -> np.ndarray:
     for m in mats:
         arr = np.tensordot(arr, m, axes=(0, 0))
     return arr
+
+
+def _degree_sums(factors) -> np.ndarray:
+    """Rows sum_{|alpha| = nu} prod_i factors[i][alpha_i] for nu = 0..m.
+
+    Each factor has shape (m+1, npts); the axes fold in one at a time, so
+    the work is O(d m^2 npts) and the memory O(m npts).
+    """
+    acc = factors[0]
+    for f in factors[1:]:
+        out = np.empty_like(acc)
+        for nu in range(acc.shape[0]):
+            out[nu] = np.einsum("kp,kp->p", acc[: nu + 1], f[nu::-1])
+        acc = out
+    return acc
 
 
 def filtered_kernel(
@@ -288,22 +308,19 @@ def filtered_kernel(
     H_nu is the kernel of the projector onto total degree exactly nu;
     ``x`` and ``y`` have shape (npts,) for d = 1 or (npts, d) for d = 2.
     """
+    _check_dim(dim)
     if dx_order not in (0, 1):
         raise ParameterError(f"dx_order must be 0 or 1, got {dx_order}")
     m = w.size - 1
-    x_values = hermite_values if dx_order == 0 else hermite_derivative_values
-    if dim == 1:
-        xv = np.asarray(x, dtype=float).ravel()
-        yv = np.asarray(y, dtype=float).ravel()
-        return w @ (x_values(m, xv) * hermite_values(m, yv))
-    if dim == 2:
-        xp = np.asarray(x, dtype=float).reshape(-1, 2)
-        yp = np.asarray(y, dtype=float).reshape(-1, 2)
-        u = x_values(m, xp[:, 0]) * hermite_values(m, yp[:, 0])
-        v = hermite_values(m, xp[:, 1]) * hermite_values(m, yp[:, 1])
-        # sum_nu w_nu sum_{k+l=nu} u_k v_l as one contraction with W[k, l] = w[k+l]
-        return np.einsum("kp,kp->p", u, total_degree_weights(w, 2) @ v)
-    raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")
+    xp = np.asarray(x, dtype=float).reshape(-1, dim)
+    yp = np.asarray(y, dtype=float).reshape(-1, dim)
+    x1_values = hermite_values if dx_order == 0 else hermite_derivative_values
+    factors = [
+        (x1_values if i == 0 else hermite_values)(m, xp[:, i])
+        * hermite_values(m, yp[:, i])
+        for i in range(dim)
+    ]
+    return w @ _degree_sums(factors)
 
 
 def projector_diag(max_degree: int, points: np.ndarray, dim: int = 1) -> np.ndarray:
@@ -313,18 +330,9 @@ def projector_diag(max_degree: int, points: np.ndarray, dim: int = 1) -> np.ndar
     Returns shape (max_degree+1, npts).
     """
     _check_degree(max_degree)
-    if dim == 1:
-        t = np.asarray(points, dtype=float).ravel()
-        return hermite_values(max_degree, t) ** 2
-    if dim == 2:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        u = hermite_values(max_degree, pts[:, 0]) ** 2
-        v = hermite_values(max_degree, pts[:, 1]) ** 2
-        out = np.empty((max_degree + 1, pts.shape[0]))
-        for m in range(max_degree + 1):
-            out[m] = np.einsum("kp,kp->p", u[: m + 1], v[m::-1])
-        return out
-    raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")
+    _check_dim(dim)
+    pts = np.asarray(points, dtype=float).reshape(-1, dim)
+    return _degree_sums([hermite_values(max_degree, pts[:, i]) ** 2 for i in range(dim)])
 
 
 def christoffel(n: int, t: float) -> float:
@@ -479,6 +487,7 @@ def project_function(
     is max |c_alpha| over |alpha| in {degree-1, degree}.
     """
     _check_degree(degree)
+    _check_dim(dim)
     if quad_order < 2 * degree + 16:
         raise InsufficientQuadratureError(
             f"quad_order {quad_order} < 2*{degree} + 16 required for degree {degree}"
@@ -491,14 +500,12 @@ def project_function(
         coeff = weighted_hermite_moments(
             degree, rule.nodes, rule.christoffel_weights * fvals
         )
-    elif dim == 2:
+    else:
         product = quadrature.CubatureRule(dim, rule)
         fvals = np.asarray(f(product.nodes), dtype=float).reshape(product.shape)
         hmat = hermite_values(degree, rule.nodes, rule.christoffel_weights)
         full = contract_axes(fvals, [hmat.T] * dim)
         coeff = total_degree_weights(np.ones(degree + 1), dim) * full
-    else:
-        raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")
     expansion = HermiteExpansion._dense(degree, coeff)
     top = total_degree_weights(np.arange(degree + 1) >= degree - 1, dim) != 0
     return ProjectionResult(expansion, float(np.max(np.abs(coeff[top]))))

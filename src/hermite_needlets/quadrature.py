@@ -22,7 +22,6 @@ import numpy as np
 
 from . import hermite_core
 from .errors import (
-    DimensionMismatchError,
     InvalidDegreeError,
     NumericFailureError,
     ResourceError,
@@ -231,8 +230,7 @@ def product_cubature(
     n: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> CubatureRule:
     """d-dimensional product rule with Christoffel weights at Hermite zeros."""
-    if d not in (1, 2):
-        raise DimensionMismatchError(f"unsupported dimension {d}, expected 1 or 2")
+    hermite_core._check_dim(d)
     if n**d > node_budget:
         raise ResourceError(f"{n}**{d} nodes exceed the budget {node_budget}")
     return CubatureRule(d=d, base=gauss_hermite_rule(n))

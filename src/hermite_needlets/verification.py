@@ -278,25 +278,17 @@ def suite_kernels() -> list[CheckResult]:
         _check("kernels", "christoffel-darboux", worst < 1e-10, f"rel dev {worst:.2e}")
     )
 
-    # top-half projector diagonals dominate the half-degree kernel (frozen c)
+    # top-half projector diagonals dominate the half-degree kernel, sampled on
+    # the diagonal ray t/sqrt(d) on every axis; rows are (d, points, frozen c)
     floor = math.inf
-    for d in (1, 2):
+    for d, count, scale in ((1, 40, 0.2), (2, 25, 0.12)):
         for n in (32, 128):
-            lim = 2.0 * math.sqrt(2.0 * n + 1.0)
-            if d == 1:
-                ts = np.linspace(0.0, lim, 40)
-                diag = hc.projector_diag(n, ts, dim=1)
-            else:
-                t = np.linspace(0.0, lim, 25)
-                pts = np.stack([t / math.sqrt(2.0), t / math.sqrt(2.0)], axis=1)
-                diag = hc.projector_diag(n, pts, dim=2)
-                ts = t
-            lhs = diag[n // 2 :].sum(axis=0)
-            rhs = n ** ((d - 1) / 2.0) * hc.kernel_diag(n // 2, ts)
+            t = np.linspace(0.0, 2.0 * math.sqrt(2.0 * n + 1.0), count)
+            pts = np.stack([t / math.sqrt(d)] * d, axis=1)
+            lhs = hc.projector_diag(n, pts, dim=d)[n // 2 :].sum(axis=0)
+            rhs = n ** ((d - 1) / 2.0) * hc.kernel_diag(n // 2, t)
             live = rhs > 1e-200
-            ratio = lhs[live] / rhs[live]
-            scale = 0.2 if d == 1 else 0.12  # frozen per dimension
-            floor = min(floor, float(np.min(ratio)) / scale)
+            floor = min(floor, float(np.min(lhs[live] / rhs[live])) / scale)
     res.append(
         _check(
             "kernels",

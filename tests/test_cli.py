@@ -401,6 +401,17 @@ class TestDecayAndShift:
         lines = out.read_text().splitlines()
         assert lines[0] == "offset,kernel,weighted"
 
+    def test_decay_d2_defaults_to_central_node(self, tmp_path, capsys):
+        # row-major index n**2 // 2 is the edge node (n/2, 0), where the
+        # level kernel is negligible; the central node is (n/2, n/2)
+        out = tmp_path / "decay.csv"
+        argv = ["decay", "--dimension", "2", "--j-max", "2", "--level", "2"]
+        assert run(argv + ["--out", str(out)]) == 0
+        msg = capsys.readouterr().out
+        n = build_frame(d=2, j_max=2).levels[2].shape[0]
+        assert f" node={(n // 2) * n + n // 2} " in msg
+        assert float(msg.split("inner_max=")[1].split()[0]) > 1.0
+
     def test_unresolved_bump_exits_2(self, tmp_path, capsys):
         # no node of the order-528 rule falls inside a bump of width 0.001,
         # so its projection is zero; that is not the zero function

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,67 @@ class TestContractAxes:
         assert got.shape == (3, 9)
         want = np.einsum("ab,ai,bj->ij", arr, m0, m1)
         np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+class TestTotalDegreeSums:
+    """One strided weight array and one axis fold serve every dimension."""
+
+    def test_weights_spread_by_total_degree(self):
+        w = np.random.default_rng(13).standard_normal(7)
+        assert np.array_equal(hc.total_degree_weights(w, 1), w)
+        want = np.array(
+            [[w[k + l] if k + l < w.size else 0.0 for l in range(7)] for k in range(7)]
+        )
+        assert np.array_equal(hc.total_degree_weights(w, 2), want)
+
+    def test_projector_diag_d2_is_the_antidiagonal_sum(self):
+        pts = np.random.default_rng(14).uniform(-6.0, 6.0, (9, 2))
+        u, v = (hc.hermite_values(40, pts[:, i]) ** 2 for i in range(2))
+        want = np.array([np.einsum("kp,kp->p", u[: m + 1], v[m::-1]) for m in range(41)])
+        assert np.array_equal(hc.projector_diag(40, pts, dim=2), want)
+
+    def test_filtered_kernel_d1_is_one_product(self):
+        rng = np.random.default_rng(15)
+        w, x, y = rng.standard_normal(256), rng.normal(0, 9, 30), rng.normal(0, 9, 30)
+        want = w @ (hc.hermite_derivative_values(255, x) * hc.hermite_values(255, y))
+        assert np.array_equal(hc.filtered_kernel(w, x, y, 1, dx_order=1), want)
+
+    @pytest.mark.parametrize("dx_order", [0, 1])
+    def test_filtered_kernel_d2_matches_hankel_contraction(self, dx_order):
+        rng = np.random.default_rng(16 + dx_order)
+        w = rng.uniform(0.0, 1.0, 256)
+        x, y = rng.uniform(-15.0, 15.0, (2, 361, 2))
+        x_values = hc.hermite_values if dx_order == 0 else hc.hermite_derivative_values
+        u = x_values(255, x[:, 0]) * hc.hermite_values(255, y[:, 0])
+        v = hc.hermite_values(255, x[:, 1]) * hc.hermite_values(255, y[:, 1])
+        want = np.einsum("kp,kp->p", u, hc.total_degree_weights(w, 2) @ v)
+        got = hc.filtered_kernel(w, x, y, 2, dx_order)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_d2_partial_sum_kernel_memory_is_linear_in_degree(self):
+        # the (n+1)^2 Hankel weight matrix alone would take 32 MB here
+        n = 2000
+        tracemalloc.start()
+        try:
+            partial_sum_kernel(n, (0.3, -0.2), (0.1, 0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 1) ** 2 * 8 / 10
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hc.total_degree_weights(np.ones(3), 3),
+            lambda: hc.filtered_kernel(np.ones(3), np.zeros((2, 3)), np.zeros((2, 3)), 3),
+            lambda: hc.projector_diag(2, np.zeros((2, 3)), dim=3),
+            lambda: project_function(lambda x: x[:, 0], 2, 20, dim=3),
+        ],
+        ids=["weights", "filtered_kernel", "projector_diag", "project"],
+    )
+    def test_dimension_three_rejected(self, call):
+        with pytest.raises(DimensionMismatchError, match="unsupported dimension 3"):
+            call()
 
 
 class TestProjection:

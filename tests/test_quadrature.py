@@ -298,7 +298,7 @@ class TestCubature:
             product_cubature(4000, 2, node_budget=10**6)
 
     def test_bad_dimension(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="unsupported dimension 3"):
             product_cubature(4, 3)
 
 
