@@ -46,13 +46,10 @@ from .function_spaces import (
 )
 from .hermite_core import (
     HermiteExpansion,
-    KernelDiagonalReport,
     christoffel,
     evaluate_expansion,
     hermite_function,
     hermite_function_derivative,
-    hermite_tensor,
-    kernel_diagonal_report,
     partial_sum_kernel,
     project_function,
     projector_kernel,
@@ -77,7 +74,6 @@ from .quadrature import (
     QuadratureRule1D,
     gauss_hermite_rule,
     hermite_zeros,
-    integrate,
     product_cubature,
 )
 

@@ -16,9 +16,8 @@ matrix whose columns carry sqrt(lambda), the root Christoffel weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -206,21 +205,6 @@ def _as_point(x, dim: int | None = None) -> np.ndarray:
     return pt
 
 
-def hermite_tensor(alpha: Iterable[int], x) -> float:
-    """Tensor-product Hermite function: prod_i h_{alpha_i}(x_i)."""
-    idx = tuple(int(a) for a in alpha)
-    pt = _as_point(x)
-    if len(idx) != pt.size:
-        raise DimensionMismatchError(
-            f"multi-index has {len(idx)} components, point has {pt.size}"
-        )
-    val = 1.0
-    for a, coord in zip(idx, pt):
-        _check_degree(a)
-        val *= hermite_function(a, coord)
-    return val
-
-
 def _point_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     px, py = _as_point(x), _as_point(y)
     if px.size != py.size:
@@ -341,36 +325,6 @@ def christoffel(n: int, t: float) -> float:
     return float(1.0 / kernel_diag(n, np.asarray([float(t)]))[0])
 
 
-@dataclass
-class KernelDiagonalReport:
-    """Sampled diagonal K_n(x,x) values used by the decay diagnostics."""
-
-    n: int
-    samples: list = field(default_factory=list)  # (point, value) pairs
-
-    def __post_init__(self):
-        for pt, val in self.samples:
-            if not val > 0.0:
-                raise DimensionMismatchError(
-                    f"diagonal value {val} at {pt} is not strictly positive"
-                )
-
-
-def kernel_diagonal_report(n: int, points, dim: int = 1) -> KernelDiagonalReport:
-    """Evaluate K_n on the diagonal at the given points."""
-    _check_degree(n)
-    if dim == 1:
-        pts = np.asarray(points, dtype=float).ravel()
-        vals = kernel_diag(n, pts)
-        samples = [((float(p),), float(v)) for p, v in zip(pts, vals)]
-    else:
-        pts = np.asarray(points, dtype=float).reshape(-1, dim)
-        diag = projector_diag(n, pts, dim=dim)
-        vals = diag.sum(axis=0)
-        samples = [(tuple(map(float, p)), float(v)) for p, v in zip(pts, vals)]
-    return KernelDiagonalReport(n=n, samples=samples)
-
-
 class HermiteExpansion:
     """A function in the degree-n band represented by Hermite coefficients.
 
@@ -383,8 +337,7 @@ class HermiteExpansion:
     __slots__ = ("dim", "degree", "array")
 
     def __init__(self, dim: int, degree: int, coeffs: dict):
-        if dim < 1:
-            raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
+        _check_dim(dim)
         if degree < 0:
             raise InvalidDegreeError(f"degree must be >= 0, got {degree}")
         # the storage is dense, so the degree sets its size
@@ -446,6 +399,7 @@ class HermiteExpansion:
         Raises NumericFailureError if an entry is not finite.
         """
         arr = np.asarray(arr, dtype=float)
+        _check_dim(arr.ndim)
         nonzero = np.nonzero(arr)  # NaN and inf count, so _dense sees them
         degree = int(sum(nonzero).max()) if nonzero[0].size else 0
         out = np.zeros((degree + 1,) * arr.ndim)

@@ -261,21 +261,6 @@ class NeedletCoefficients:
     frame: NeedletFrame
     level_values: dict = field(default_factory=dict)  # j -> (node_count,) array
 
-    @property
-    def frame_id(self) -> str:
-        return self.frame.frame_id
-
-    def get(self, j: int, node_index: int) -> float:
-        arr = self.level_values.get(j)
-        return 0.0 if arr is None else float(arr[node_index])
-
-    def as_dict(self) -> dict:
-        return {
-            (j, int(i)): float(v)
-            for j, arr in sorted(self.level_values.items())
-            for i, v in enumerate(arr)
-        }
-
     def sum_squares(self) -> float:
         return float(sum(np.dot(a, a) for a in self.level_values.values()))
 
@@ -367,7 +352,8 @@ def localization_profile(
     The inner maximum normalizes |kernel| * (1 + 2^j |x-xi|)^k by 2**(j d)
     over the fixed scaled window 2^j |x-xi| <= LOCALIZATION_WINDOW; the tail
     maximum is the raw kernel magnitude where every constituent degree is
-    evanescent, namely |x|_inf >= 1.2 * sqrt(4 * 4**j + 2).
+    evanescent, namely |x|_inf >= R = 1.2 * sqrt(4 * 4**j + 2), sampled at 40
+    points of the ray whose |x|_inf spans [R, 1.5 R].
     """
     if k > 10 or k < 0:
         raise ParameterError(f"decay exponent k must lie in 0..10, got {k}")
@@ -379,7 +365,9 @@ def localization_profile(
         -LOCALIZATION_WINDOW, LOCALIZATION_WINDOW, n_samples
     ) / 2.0**j
     tail_radius = 1.2 * math.sqrt(4.0 * 4.0**j + 2.0)
-    tail_offsets = np.linspace(tail_radius, 1.5 * tail_radius, 40) - xi[0]
+    tail_offsets = math.sqrt(frame.d) * (
+        np.linspace(tail_radius, 1.5 * tail_radius, 40) - xi.max()
+    )
     all_offsets = np.concatenate([offsets, tail_offsets])
     direction = np.full(frame.d, 1.0 / math.sqrt(frame.d))
     pts_x = xi + all_offsets[:, None] * direction

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -234,13 +233,3 @@ def product_cubature(
     if n**d > node_budget:
         raise ResourceError(f"{n}**{d} nodes exceed the budget {node_budget}")
     return CubatureRule(d=d, base=gauss_hermite_rule(n))
-
-
-def integrate(rule: CubatureRule, f: Callable) -> float:
-    """Apply the cubature: sum of weights times f at the nodes.
-
-    ``f`` receives a (npts,) array for d = 1 or a (npts, d) array otherwise.
-    """
-    pts = rule.nodes[:, 0] if rule.d == 1 else rule.nodes
-    vals = np.asarray(f(pts), dtype=float).ravel()
-    return float(np.dot(rule.weights, vals))

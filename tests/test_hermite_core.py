@@ -16,8 +16,6 @@ from hermite_needlets import (
     evaluate_expansion,
     hermite_function,
     hermite_function_derivative,
-    hermite_tensor,
-    kernel_diagonal_report,
     partial_sum_kernel,
     project_function,
     projector_kernel,
@@ -118,23 +116,6 @@ class TestDerivative:
 
 
 class TestTensorAndKernels:
-    def test_tensor_origin(self):
-        assert hermite_tensor((0, 0), (0.0, 0.0)) == pytest.approx(
-            1.0 / math.sqrt(math.pi), rel=1e-14
-        )
-
-    def test_tensor_vanishes_on_odd_factor(self):
-        assert hermite_tensor((1, 0), (0.0, 3.7)) == 0.0
-
-    def test_tensor_against_direct(self):
-        got = hermite_tensor((2, 3), (0.5, -0.5))
-        want = hermite_fn_direct(2, 0.5) * hermite_fn_direct(3, -0.5)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_tensor_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            hermite_tensor((1, 2), (0.0,))
-
     def test_projector_d1(self):
         v = hermite_function(3, 2.0)
         assert projector_kernel(3, 2.0, 2.0) == pytest.approx(v * v, rel=1e-14)
@@ -152,7 +133,8 @@ class TestTensorAndKernels:
     def test_projector_d2_against_sum(self):
         x, y = (0.3, -0.8), (1.1, 0.2)
         want = sum(
-            hermite_tensor((k, 4 - k), x) * hermite_tensor((k, 4 - k), y)
+            hermite_fn_direct(k, x[0]) * hermite_fn_direct(4 - k, x[1])
+            * hermite_fn_direct(k, y[0]) * hermite_fn_direct(4 - k, y[1])
             for k in range(5)
         )
         assert projector_kernel(4, x, y) == pytest.approx(want, rel=1e-12)
@@ -251,11 +233,6 @@ class TestKernelDiagonal:
                 rhs = n ** ((dim - 1) / 2.0) * hc.kernel_diag(n // 2, ts)
                 live = rhs > 1e-200
                 assert np.min(lhs[live] / rhs[live]) > frozen[dim]
-
-    def test_report_positive(self):
-        rep = kernel_diagonal_report(16, np.linspace(-3, 3, 7))
-        assert rep.n == 16
-        assert all(v > 0 for _, v in rep.samples)
 
 
 class TestExpansion:
@@ -406,8 +383,13 @@ class TestTotalDegreeSums:
             lambda: hc.filtered_kernel(np.ones(3), np.zeros((2, 3)), np.zeros((2, 3)), 3),
             lambda: hc.projector_diag(2, np.zeros((2, 3)), dim=3),
             lambda: project_function(lambda x: x[:, 0], 2, 20, dim=3),
+            lambda: HermiteExpansion(3, 2, {}),
+            lambda: HermiteExpansion.from_array(np.zeros((2, 2, 2))),
         ],
-        ids=["weights", "filtered_kernel", "projector_diag", "project"],
+        ids=[
+            "weights", "filtered_kernel", "projector_diag", "project",
+            "expansion", "from_array",
+        ],
     )
     def test_dimension_three_rejected(self, call):
         with pytest.raises(DimensionMismatchError, match="unsupported dimension 3"):

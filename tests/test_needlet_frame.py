@@ -392,14 +392,6 @@ class TestTransforms:
         assert (analyze_extra - output) / n2 < 0.5
         assert synthesize_extra / n2 < 1.0
 
-    def test_coefficient_access(self, frame_j3):
-        f = HermiteExpansion(1, 0, {(0,): 1.0})
-        s = analyze(f, frame_j3)
-        d = s.as_dict()
-        assert set(j for j, _ in d) == {0}
-        assert s.get(0, 3) == d[(0, 3)]
-        assert s.get(2, 0) == 0.0
-
 
 class TestLocalization:
     def test_tail_is_evanescent(self, frame_j4):
@@ -430,6 +422,22 @@ class TestLocalization:
                 )
             )
         assert max(consts) / min(consts) < 4.0
+
+    @pytest.mark.parametrize("j_max", [2, 3])
+    def test_d2_tail_samples_span_tail_radius(self, frame_d2_j3, j_max):
+        # the last 40 samples lie on the ray xi + o * (1, 1) / sqrt(2)
+        frame = frame_d2_j3 if j_max == 3 else nf.build_frame(2, j_max=2)
+        level = frame.levels[j_max]
+        radius = 1.2 * math.sqrt(4.0 * 4.0**j_max + 2.0)
+        central = int(np.ravel_multi_index(tuple(s // 2 for s in level.shape), level.shape))
+        for node in (central, 3):
+            rep = localization_profile(frame, j_max, node, 6)
+            offsets = np.array([o for o, _, _ in rep.samples[-40:]])
+            pts = level.nodes_at(node) + offsets[:, None] / math.sqrt(2.0)
+            xinf = np.max(np.abs(pts), axis=1)
+            # the first sample may land an ulp inside the radius
+            assert np.all(xinf >= radius - 1e-12)
+            assert np.all(xinf <= 1.5 * radius + 1e-12)
 
     def test_k_bound(self, frame_j3):
         with pytest.raises(ParameterError):

@@ -11,7 +11,6 @@ from hermite_needlets import (
     build_level,
     gauss_hermite_rule,
     hermite_zeros,
-    integrate,
     product_cubature,
 )
 from hermite_needlets import hermite_core as hc
@@ -277,21 +276,6 @@ class TestCubature:
         hmat = hc.hermite_values(5, rule.base.nodes)
         gram = (hmat * rule.weights) @ hmat.T
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-12)
-
-    def test_integrate_exactness(self):
-        rule = product_cubature(4, 1)
-
-        def f(x):
-            vals = hc.hermite_values(3, x)
-            return vals[1] * vals[3]
-
-        assert integrate(rule, f) == pytest.approx(0.0, abs=1e-13)
-        assert integrate(rule, lambda x: np.zeros_like(x)) == 0.0
-
-        def g(x):
-            return hc.hermite_values(0, x)[0] ** 2
-
-        assert integrate(rule, g) == pytest.approx(1.0, rel=1e-13)
 
     def test_node_budget(self):
         with pytest.raises(ResourceError):
