@@ -283,7 +283,9 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace, cfg: RunConfig) -> int:
     frame = cfg.build_frame()
+    counts = [level.node_count for level in frame.levels]
     level_values: dict[int, np.ndarray] = {}
+    read: dict[int, bytearray] = {}  # 1 where a level's node already has a row
     with open(args.coeffs, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         try:
@@ -304,13 +306,19 @@ def cmd_reconstruct(args: argparse.Namespace, cfg: RunConfig) -> int:
                 raise ParameterError(f"non-finite s_value in row {line!r}")
             if j < 0 or j > frame.j_max:
                 raise ParameterError(f"coefficient level {j} outside frame depth")
-            count = frame.levels[j].node_count
+            count = counts[j]
             if i < 0 or i >= count:
                 raise ParameterError(
                     f"node index {i} outside level {j} (0..{count - 1})"
                 )
             if j not in level_values:
-                level_values[j] = np.zeros(count)
+                level_values[j], read[j] = np.zeros(count), bytearray(count)
+            if read[j][i]:
+                raise ParameterError(
+                    f"duplicate coefficient row {line.strip()!r}: level {j} "
+                    f"node {i} appears twice"
+                )
+            read[j][i] = 1
             level_values[j][i] = v
     coeffs = nf.NeedletCoefficients(frame=frame, level_values=level_values)
     g = nf.synthesize(coeffs, frame)

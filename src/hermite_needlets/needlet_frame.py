@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     FrameDepthError,
     FrameMismatchError,
+    NumericFailureError,
     ParameterError,
 )
 from .hermite_core import HermiteExpansion
@@ -296,10 +297,49 @@ def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
     return NeedletCoefficients(frame=frame, level_values=out)
 
 
+# Coefficients at most this fraction of their level's largest |s| are left out
+# of the synthesis contraction.
+WINDOW_TAU = 2.0**-70
+
+
+def coefficient_window(values: np.ndarray) -> slice:
+    """Smallest index range, shared by every axis, outside which |s| <= tau*max|s|.
+
+    ``tau`` is WINDOW_TAU.  The window comes from per-axis max/min reductions,
+    so no |s| array over the level is formed.  It is empty for an all-zero
+    level.  Raises NumericFailureError if a value is not finite.
+    """
+    rest = tuple(range(1, values.ndim))
+    top, bottom = values.max(axis=rest), values.min(axis=rest)
+    peak, trough = top.max(), bottom.min()
+    if not (math.isfinite(peak) and math.isfinite(trough)):
+        raise NumericFailureError("a needlet coefficient is not finite")
+    cut = WINDOW_TAU * max(peak, -trough)
+    rows = np.flatnonzero((top > cut) | (bottom < -cut))
+    if not rows.size:
+        return slice(0, 0)
+    lo, hi = int(rows[0]), int(rows[-1]) + 1
+    # every kept value lies in rows lo:hi, so the other axes look only there
+    band = values[lo:hi]
+    for axis in rest:
+        others = tuple(b for b in range(values.ndim) if b != axis)
+        top, bottom = band.max(axis=others), band.min(axis=others)
+        kept = np.flatnonzero((top > cut) | (bottom < -cut))
+        lo, hi = min(lo, int(kept[0])), max(hi, int(kept[-1]) + 1)
+    return slice(lo, hi)
+
+
 def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpansion:
     """Sum of s_xi * psi_xi, returned as a Hermite expansion.
 
     Output degree is capped at 4**j_max (the synthesis filters vanish above).
+    Each level is contracted only over its coefficient window (see
+    ``coefficient_window``): the nodes outside it, whose |s| are at most
+    WINDOW_TAU = 2**-70 of the level's largest, are skipped.  The
+    lambda**(1/2)-scaled Hermite rows of degree <= hi are orthonormal under
+    the level's rule (2*hi < 2*order), so this moves the level's output by at
+    most max|b_hat| * WINDOW_TAU * max|s_j| * sqrt(node_count_j) in l2.
+    Raises NumericFailureError if a coefficient is not finite.
     """
     source = coeffs.frame
     if (source.frame_id, source.pair) != (frame.frame_id, frame.pair):
@@ -312,10 +352,14 @@ def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpan
     acc = np.zeros(shape)
     for j, values in sorted(coeffs.level_values.items()):
         level = frame.levels[j]
+        values = values.reshape(level.shape)
+        win = coefficient_window(values)
+        if win.start == win.stop:
+            continue
         hi = min(level_band(j)[1], cap)
-        root_weights = np.sqrt(level.rule.christoffel_weights)
-        hmat = hermite_core.hermite_values(hi, level.rule.nodes, root_weights)
-        block = hermite_core.contract_axes(values.reshape(level.shape), [hmat.T] * frame.d)
+        root_weights = np.sqrt(level.rule.christoffel_weights[win])
+        hmat = hermite_core.hermite_values(hi, level.rule.nodes[win], root_weights)
+        block = hermite_core.contract_axes(values[(win,) * frame.d], [hmat.T] * frame.d)
         acc[(slice(0, hi + 1),) * frame.d] += (
             level_filter(frame.pair.b_hat, j, hi, frame.d) * block
         )
@@ -376,8 +420,10 @@ def localization_profile(
     vals = _level_kernel(frame, j, pts_x, pts_y, frame.pair.a_hat, dx_order)
     dist = np.abs(all_offsets)
     weighted = np.abs(vals) * (1.0 + 2.0**j * dist) ** k
-    inner = (dist <= LOCALIZATION_WINDOW / 2.0**j + 1e-12) & (xinf < tail_radius)
+    # the 40 constructed samples are tail even where x rounds an ulp inside R
     tail = xinf >= tail_radius
+    tail[offsets.size :] = True
+    inner = (dist <= LOCALIZATION_WINDOW / 2.0**j + 1e-12) & ~tail
     # nodes beyond the evanescent radius have no inner window at all
     inner_max = (
         float(np.max(weighted[inner]) / 2.0 ** (j * frame.d)) if np.any(inner) else 0.0

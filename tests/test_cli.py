@@ -549,6 +549,19 @@ class TestBadInputExits2:
         self._assert_one_line(capsys)
         assert not out.exists()
 
+    def test_reconstruct_duplicate_row(self, tmp_path, capsys):
+        # a repeated (level, node_index) pair would keep only its last value
+        coeffs = tmp_path / "c.csv"
+        rows = ["1,3,0.0,1.0", "2,0,0.0,0.5", "1,3,0.0,2.0"]
+        coeffs.write_text("\n".join(["level,node_index,xi_1,s_value", *rows]) + "\n")
+        out = tmp_path / "r.json"
+        argv = ["reconstruct", "--coeffs", str(coeffs), "--j-max", "2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: ") and err.count("\n") == 1
+        assert "'1,3,0.0,2.0'" in err and "level 1 node 3" in err
+        assert not out.exists()
+
 
 def test_cli_import_does_not_load_scipy():
     # scipy costs every CLI process about 0.4 s and 28 MB at start-up

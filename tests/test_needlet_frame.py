@@ -8,6 +8,7 @@ from hermite_needlets import (
     FrameDepthError,
     FrameMismatchError,
     HermiteExpansion,
+    NumericFailureError,
     ParameterError,
     ResourceError,
     analyze,
@@ -393,6 +394,122 @@ class TestTransforms:
         assert synthesize_extra / n2 < 1.0
 
 
+def full_synthesis(s, frame) -> np.ndarray:
+    """Dense synthesis with every level contracted over all of its nodes."""
+    cap = 4**frame.j_max
+    acc = np.zeros((cap + 1,) * frame.d)
+    for j, values in s.level_values.items():
+        level = frame.levels[j]
+        hi = min(nf.level_band(j)[1], cap)
+        root_weights = np.sqrt(level.rule.christoffel_weights)
+        hmat = hc.hermite_values(hi, level.rule.nodes, root_weights)
+        block = hc.contract_axes(values.reshape(level.shape), [hmat.T] * frame.d)
+        acc[(slice(0, hi + 1),) * frame.d] += (
+            nf.level_filter(frame.pair.b_hat, j, hi, frame.d) * block
+        )
+    return acc
+
+
+def window_bound(s, frame) -> float:
+    """The synthesize docstring's l2 bound on what the windows leave out."""
+    total = 0.0
+    for j, values in s.level_values.items():
+        hi = min(nf.level_band(j)[1], 4**frame.j_max)
+        b_max = np.max(np.abs(nf.filter_weights(frame.pair.b_hat, j, hi)))
+        top = np.max(np.abs(values))
+        total += b_max * nf.WINDOW_TAU * top * math.sqrt(values.size)
+    return total
+
+
+def dense_output(g, frame) -> np.ndarray:
+    out = np.zeros((4**frame.j_max + 1,) * frame.d)
+    out[tuple(slice(0, n) for n in g.array.shape)] = g.array
+    return out
+
+
+@pytest.fixture(scope="module")
+def frame_d2_j3_dual():
+    return nf.build_frame(2, j_max=3, cutoff="dual")
+
+
+class TestSynthesisWindow:
+    def test_window_of_values(self):
+        tau = nf.WINDOW_TAU
+        s = np.array([0.0, 0.5 * tau, 0.0, 1.0, -tau, -2.0 * tau, 0.0, tau])
+        assert nf.coefficient_window(s) == slice(3, 6)
+        s2 = np.zeros((7, 7))
+        s2[2, 5], s2[4, 1], s2[6, 6] = -3.0, 1e-3, 2.0 * tau
+        assert nf.coefficient_window(s2) == slice(1, 6)
+        for zeros in (np.zeros(5), np.zeros((4, 4))):
+            win = nf.coefficient_window(zeros)
+            assert win.start == win.stop
+
+    @pytest.mark.parametrize(
+        "d,row,col", [(1, 0, None), (1, -1, None), (2, 0, 0), (2, 0, "mid"), (2, "mid", -1)]
+    )
+    def test_single_edge_coefficient(self, frame_j3, frame_d2_j3, d, row, col):
+        # outermost, corner and edge-centre nodes of the top level
+        frame = frame_j3 if d == 1 else frame_d2_j3
+        level = frame.levels[-1]
+        n = level.shape[0]
+        pos = tuple(n // 2 if i == "mid" else i % n for i in (row, col)[:d])
+        values = np.zeros(level.shape)
+        values[pos] = 1.0
+        s = nf.NeedletCoefficients(frame=frame, level_values={level.j: values.ravel()})
+        ref = full_synthesis(s, frame)
+        assert np.max(np.abs(ref)) > 0.0
+        got = dense_output(synthesize(s, frame), frame)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "fixture,degree",
+        [
+            ("frame_j4", 64),
+            ("frame_j4", 200),
+            ("frame_j4_dual", 64),
+            ("frame_d2_j3", 20),
+            ("frame_d2_j3_dual", 20),
+        ],
+    )
+    def test_analyzed_input_within_bound(self, request, fixture, degree):
+        frame = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(degree)
+        make = random_expansion_1d if frame.d == 1 else random_expansion_2d
+        s = analyze(make(degree, rng), frame)
+        top = s.level_values[frame.j_max].reshape(frame.levels[-1].shape)
+        win = nf.coefficient_window(top)
+        assert win.stop - win.start < top.shape[0]  # the top level drops nodes
+        ref = full_synthesis(s, frame)
+        got = dense_output(synthesize(s, frame), frame)
+        roundoff = 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(got - ref) <= window_bound(s, frame) + roundoff
+
+    def test_zero_level_equals_omitted_level(self, frame_j3):
+        s = analyze(random_expansion_1d(40, np.random.default_rng(3)), frame_j3)
+        values = dict(s.level_values)
+        omitted = nf.NeedletCoefficients(frame=frame_j3, level_values=dict(values))
+        del omitted.level_values[2]
+        values[2] = np.zeros_like(values[2])
+        zeroed = nf.NeedletCoefficients(frame=frame_j3, level_values=values)
+        g_zeroed, g_omitted = synthesize(zeroed, frame_j3), synthesize(omitted, frame_j3)
+        assert np.array_equal(g_zeroed.array, g_omitted.array)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["edge", "centre"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_non_finite_coefficient_raises(self, frame_j3, frame_d2_j3, d, where, bad):
+        frame = frame_j3 if d == 1 else frame_d2_j3
+        f = (random_expansion_1d if d == 1 else random_expansion_2d)(
+            24, np.random.default_rng(8)
+        )
+        s = analyze(f, frame)
+        level = frame.levels[-1]
+        centre = np.ravel_multi_index(tuple(n // 2 for n in level.shape), level.shape)
+        s.level_values[level.j][0 if where == "edge" else centre] = bad
+        with pytest.raises(NumericFailureError):
+            synthesize(s, frame)
+
+
 class TestLocalization:
     def test_tail_is_evanescent(self, frame_j4):
         rep = localization_profile(frame_j4, 3, frame_j4.levels[3].node_count // 2, 6)
@@ -438,6 +555,14 @@ class TestLocalization:
             # the first sample may land an ulp inside the radius
             assert np.all(xinf >= radius - 1e-12)
             assert np.all(xinf <= 1.5 * radius + 1e-12)
+
+    @pytest.mark.parametrize("d,j,node", [(1, 0, 1), (1, 1, 12), (2, 2, 3)])
+    def test_constructed_tail_samples_count_as_tail(self, d, j, node):
+        # on these nodes the first constructed sample rounds an ulp inside R
+        frame = nf.build_frame(d, j_max=2)
+        rep = localization_profile(frame, j, node, 6)
+        constructed = np.array([abs(v) for _, v, _ in rep.samples[-40:]])
+        assert rep.tail_max >= constructed.max() > 0.0
 
     def test_k_bound(self, frame_j3):
         with pytest.raises(ParameterError):
