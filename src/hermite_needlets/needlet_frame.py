@@ -339,6 +339,8 @@ def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpan
     lambda**(1/2)-scaled Hermite rows of degree <= hi are orthonormal under
     the level's rule (2*hi < 2*order), so this moves the level's output by at
     most max|b_hat| * WINDOW_TAU * max|s_j| * sqrt(node_count_j) in l2.
+    At d = 1 a level is the weighted moments of its window's nodes, so no
+    Hermite matrix is formed; at d = 2 the matrix is (hi+1) x window.
     Raises NumericFailureError if a coefficient is not finite.
     """
     source = coeffs.frame
@@ -358,8 +360,14 @@ def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpan
             continue
         hi = min(level_band(j)[1], cap)
         root_weights = np.sqrt(level.rule.christoffel_weights[win])
-        hmat = hermite_core.hermite_values(hi, level.rule.nodes[win], root_weights)
-        block = hermite_core.contract_axes(values[(win,) * frame.d], [hmat.T] * frame.d)
+        nodes = level.rule.nodes[win]
+        if frame.d == 1:
+            # one axis contracts to moments, streamed over the degrees: no
+            # (hi+1) x window matrix, whose size would follow the window
+            block = hermite_core.weighted_hermite_moments(hi, nodes, root_weights * values[win])
+        else:
+            hmat = hermite_core.hermite_values(hi, nodes, root_weights)
+            block = hermite_core.contract_axes(values[win, win], [hmat.T, hmat.T])
         acc[(slice(0, hi + 1),) * frame.d] += (
             level_filter(frame.pair.b_hat, j, hi, frame.d) * block
         )

@@ -393,6 +393,24 @@ class TestTransforms:
         assert (analyze_extra - output) / n2 < 0.5
         assert synthesize_extra / n2 < 1.0
 
+    def test_d1_synthesize_forms_no_hermite_matrix(self, frame_j4):
+        # a d = 1 level is streamed as weighted moments over its window, so
+        # synthesize never holds the (hi+1) x window Hermite matrix, whose
+        # size, and with it the heap's layout, would follow the input
+        f = random_expansion_1d(64, np.random.default_rng(19))
+        s = analyze(f, frame_j4)
+        top = frame_j4.levels[-1]
+        win = nf.coefficient_window(s.level_values[top.j])
+        matrix = (nf.level_band(top.j)[1] + 1) * (win.stop - win.start) * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            synthesize(s, frame_j4)
+            extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert extra / matrix < 0.1
+
 
 def full_synthesis(s, frame) -> np.ndarray:
     """Dense synthesis with every level contracted over all of its nodes."""
