@@ -281,52 +281,59 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
+def _read_coefficients(path: str):
+    """A coefficient CSV's nonblank rows and its level, node_index, s_value columns."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    try:
+        cols = [header.index(name) for name in ("level", "node_index", "s_value")]
+    except ValueError as exc:
+        raise ParameterError(f"coefficient CSV missing column: {exc}") from exc
+
+    dtype = [("j", np.int64), ("i", np.int64), ("v", float)]
+
+    def parse(rows):
+        return np.loadtxt(rows, dtype, delimiter=",", usecols=cols, comments=None, ndmin=1)
+
+    try:  # loadtxt warns on [], so it is not called on it
+        table = parse(lines) if lines else np.empty(0, dtype)
+    except ValueError:
+        for line in lines:  # rows parse independently: name the first that fails
+            try:
+                parse([line])
+            except ValueError:
+                raise ParameterError(f"malformed coefficient row {line!r}") from None
+    return lines, table["j"], table["i"], table["v"]
+
+
 def cmd_reconstruct(args: argparse.Namespace, cfg: RunConfig) -> int:
     frame = cfg.build_frame()
-    counts = [level.node_count for level in frame.levels]
-    level_values: dict[int, np.ndarray] = {}
-    read: dict[int, bytearray] = {}  # 1 where a level's node already has a row
-    with open(args.coeffs, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        try:
-            j_col = header.index("level")
-            i_col = header.index("node_index")
-            v_col = header.index("s_value")
-        except ValueError as exc:
-            raise ParameterError(f"coefficient CSV missing column: {exc}") from exc
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            try:
-                j, i, v = int(parts[j_col]), int(parts[i_col]), float(parts[v_col])
-            except (IndexError, ValueError) as exc:
-                raise ParameterError(f"malformed coefficient row {line!r}") from exc
-            if not math.isfinite(v):
-                raise ParameterError(f"non-finite s_value in row {line!r}")
-            if j < 0 or j > frame.j_max:
-                raise ParameterError(f"coefficient level {j} outside frame depth")
-            count = counts[j]
-            if i < 0 or i >= count:
-                raise ParameterError(
-                    f"node index {i} outside level {j} (0..{count - 1})"
-                )
-            if j not in level_values:
-                level_values[j], read[j] = np.zeros(count), bytearray(count)
-            if read[j][i]:
-                raise ParameterError(
-                    f"duplicate coefficient row {line.strip()!r}: level {j} "
-                    f"node {i} appears twice"
-                )
-            read[j][i] = 1
-            level_values[j][i] = v
+    lines, j, i, v = _read_coefficients(args.coeffs)
+    counts = np.array([level.node_count for level in frame.levels])
+    clipped = np.clip(j, 0, frame.j_max)
+    key = (np.cumsum(counts) - counts)[clipped] + i  # one flat index per (level, node)
+    repeat = np.ones(len(j), dtype=bool)
+    repeat[np.unique(key, return_index=True)[1]] = False
+    # checked in this order, so a later check sees only rows that passed the earlier
+    for bad, problem in ((~np.isfinite(v), "s_value is not finite"),
+                         (clipped != j, f"level outside 0..{frame.j_max}"),
+                         ((i < 0) | (i >= counts[clipped]), "node index outside its level"),
+                         (repeat, "(level, node_index) appears twice")):
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise ParameterError(
+                f"coefficient row {lines[r]!r}, level {j[r]} node {i[r]}: {problem}")
+    level_values = {lev: np.zeros(counts[lev]) for lev in np.unique(j).tolist()}
+    for lev, values in level_values.items():
+        values[i[j == lev]] = v[j == lev]
     coeffs = nf.NeedletCoefficients(frame=frame, level_values=level_values)
     g = nf.synthesize(coeffs, frame)
     path = _out_path(cfg, args.out, "reconstruction.json")
     payload = {
         "dim": g.dim,
         "degree": g.degree,
-        "coeffs": [[list(a), c] for a, c in sorted(g.coeffs.items())],
+        "coeffs": [[list(a), c] for a, c in g.coeffs.items()],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)

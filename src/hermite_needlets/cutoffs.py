@@ -89,15 +89,12 @@ def make_type_a(v: float) -> SmoothCutoff:
 
 def make_type_b(
     u: float = _SUPPORT_LO,
-    v: float = _SUPPORT_HI - 1.0,
     plateau: tuple[float, float] = (1.0 / 3.0, 3.0),
 ) -> SmoothCutoff:
-    """Bump cutoff supported in [u, 1+v], equal to 1 on the plateau."""
+    """Bump cutoff supported in [u, 4], equal to 1 on the plateau."""
     lo, hi = plateau
-    if not (0.0 < u < lo < hi < 1.0 + v):
-        raise ParameterError(
-            f"need 0 < u < plateau < 1+v, got u={u}, plateau={plateau}, v={v}"
-        )
+    if not (0.0 < u < lo < hi < _SUPPORT_HI):
+        raise ParameterError(f"need 0 < u < plateau < 4, got u={u}, plateau={plateau}")
 
     def func(t):
         t = np.asarray(t, dtype=float)
@@ -105,11 +102,11 @@ def make_type_b(
         rise = (t > u) & (t < lo)
         out[rise] = ramp((t[rise] - u) / (lo - u))
         out[(t >= lo) & (t <= hi)] = 1.0
-        fall = (t > hi) & (t < 1.0 + v)
-        out[fall] = 1.0 - ramp((t[fall] - hi) / (1.0 + v - hi))
+        fall = (t > hi) & (t < _SUPPORT_HI)
+        out[fall] = 1.0 - ramp((t[fall] - hi) / (_SUPPORT_HI - hi))
         return out
 
-    return SmoothCutoff(kind="type_b", u=u, v=v, func=func)
+    return SmoothCutoff(kind="type_b", u=u, v=_SUPPORT_HI - 1.0, func=func)
 
 
 def make_quadratic_cutoff() -> SmoothCutoff:

@@ -21,7 +21,6 @@ import numpy as np
 from . import hermite_core
 from .errors import (
     DimensionMismatchError,
-    FrameDepthError,
     IngestionAccuracyError,
     ParameterError,
     ResolutionError,
@@ -30,8 +29,8 @@ from .hermite_core import HermiteExpansion
 from .needlet_frame import (
     NeedletCoefficients,
     NeedletFrame,
+    _filtered_coeffs,
     level_band,
-    level_filter,
 )
 
 INF = math.inf
@@ -52,6 +51,8 @@ class SpaceParams:
     q: float
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ParameterError(f"alpha must be finite, got {self.alpha}")
         if not self.p > 0:
             raise ParameterError(f"p must be positive, got {self.p}")
         if not self.q > 0:
@@ -107,29 +108,6 @@ def levels_for_degree(degree: int) -> int:
     while level_band(j + 1)[0] <= max(degree, 0):
         j += 1
     return j
-
-
-def _filtered_coeffs(
-    f: HermiteExpansion, frame: NeedletFrame, j_levels: int | None
-) -> dict[int, np.ndarray]:
-    """Per-level filtered dense coefficient arrays (levels with content only).
-
-    Checks that f fits the frame.  ``j_levels`` may deepen the scale series
-    beyond the frame's built levels (the extra levels are filter-only).
-    """
-    if f.dim != frame.d:
-        raise DimensionMismatchError("expansion and frame dimensions differ")
-    j_top = frame.j_max if j_levels is None else j_levels
-    if f.degree > 4**max(j_top, frame.j_max):
-        raise FrameDepthError(
-            f"degree {f.degree} exceeds 4**{max(j_top, frame.j_max)}"
-        )
-    out = {}
-    for j in range(j_top + 1):
-        filtered = level_filter(frame.pair.a_hat, j, f.degree, f.dim) * f.array
-        if np.any(filtered):
-            out[j] = filtered
-    return out
 
 
 def _row_slices(n_rows: int, row_size: int):
@@ -231,12 +209,6 @@ def _power_sum(values: np.ndarray, p: float, axis_weights=None) -> float:
     return float(np.float64(scale) ** p * total)  # inf, not OverflowError, past the range
 
 
-def _tile_power_sum(values: np.ndarray, p: float, level) -> float:
-    """sum over the level's tiles I of |I|^(1 - p/2) |s_I|^p, one factor per axis."""
-    weight = level.tile_lengths_1d() ** (1.0 - p / 2.0)
-    return _power_sum(values.reshape(level.shape), p, [weight] * level.d)
-
-
 def _lp_norms(blocks, p: float, cell_volume: float) -> dict[int, float]:
     """Grid L^p norm of each level in a stream of blocks of (j, values) pairs.
 
@@ -271,14 +243,13 @@ def f_continuous_norm(
 ) -> float:
     """Mixed space-then-scale norm of a band-limited function.
 
-    ``p = 2, q = 2`` is computed exactly from filtered coefficients; other
-    indices use the tensor grid.  ``j_levels`` may deepen the scale series
-    beyond the frame's built levels (the extra levels are filter-only).
+    At p = q it is the B norm (Fubini), exact at p = 2; other indices use
+    the tensor grid.  ``j_levels`` may deepen the scale series beyond the
+    frame's built levels (the extra levels are filter-only).
     """
     if params.p == INF:
         raise ParameterError("the F-scale is defined for p < infinity only")
-    if params.p == 2.0 and params.q == 2.0:
-        # Fubini: the F and B norms coincide, and B has the Parseval form
+    if params.p == params.q:
         return b_continuous_norm(f, params, frame, grid, j_levels)
     filtered = _filtered_coeffs(f, frame, j_levels)
     if not filtered:
@@ -319,23 +290,18 @@ def f_sequence_norm(
 ) -> float:
     """Sequence-space twin of the mixed norm, over the frame's tiles.
 
-    For p = q the exact closed form is used; otherwise the piecewise-constant
-    integrand is evaluated on the tensor grid (``method='grid'`` forces this
-    path, ``method='closed'`` requires p = q).
+    For p = q it is the closed form ``b_sequence_norm`` (Fubini); otherwise
+    the piecewise-constant integrand is evaluated on the tensor grid
+    (``method='grid'`` forces this path, ``method='closed'`` requires p = q).
     """
     if params.p == INF:
         raise ParameterError("the F-scale is defined for p < infinity only")
     if method not in ("auto", "closed", "grid"):
         raise ParameterError(f"unknown method {method!r}")
-    p, q, alpha = params.p, params.q, params.alpha
-    closed_ok = p == q and q != INF
-    if method == "closed" and not closed_ok:
+    if method == "closed" and params.p != params.q:
         raise ParameterError("closed form requires finite p = q")
-    if (method in ("auto", "closed")) and closed_ok:
-        total = 0.0
-        for j, values in s.level_values.items():
-            total += 2.0 ** (j * alpha * q) * _tile_power_sum(values, q, frame.levels[j])
-        return total ** (1.0 / q)
+    if method != "grid" and params.p == params.q:
+        return b_sequence_norm(s, params, frame)
     _validate_grid(grid, frame)
     return _combined_lp(_tile_blocks(s, frame, grid.axis()), params, grid.step**frame.d)
 
@@ -345,10 +311,10 @@ def b_sequence_norm(
 ) -> float:
     """Sequence-space twin of the scale-then-space norm, on no grid.
 
-    For finite p each level's sum of |I|^(1 - p/2) |s_I|^p is a
-    ``_power_sum``: coefficients below 2^(-1000/p) of the level's largest
-    count as that cut, which adds less than N 2^-1000 (largest tile weight /
-    smallest tile weight) of the level's sum for N tiles.
+    For finite p each level's sum over its tiles I of |I|^(1 - p/2) |s_I|^p
+    is a ``_power_sum``: coefficients below 2^(-1000/p) of the level's
+    largest count as that cut, which adds less than N 2^-1000 (largest tile
+    weight / smallest tile weight) of the level's sum for N tiles.
     """
     p, q, alpha = params.p, params.q, params.alpha
     level_terms = {}
@@ -357,7 +323,8 @@ def b_sequence_norm(
         if p == INF:
             level_terms[j] = float(np.max(_scaled_tiles(values, level)))
         else:
-            level_terms[j] = _tile_power_sum(values, p, level) ** (1.0 / p)
+            weights = [level.tile_lengths_1d() ** (1.0 - p / 2.0)] * level.d
+            level_terms[j] = _power_sum(values.reshape(level.shape), p, weights) ** (1.0 / p)
     return float(_scale_combine(level_terms.items(), alpha, q))
 
 
@@ -405,15 +372,14 @@ def approximation_norm(
     q: float,
     p: float = 2.0,
     grid: GridSpec | None = None,
-    j_cap: int | None = None,
 ) -> float:
     """||f||_p plus the l^q sum of 2^(alpha j) E_{2^j}(f)_p.
 
-    The series is finite: terms vanish once 2^j reaches the degree, so the
-    default cap truncates nothing.
+    The series is finite: terms vanish once 2^j reaches the degree, so its
+    cap truncates nothing.
     """
-    if j_cap is None:
-        j_cap = max(1, math.ceil(math.log2(max(f.degree, 1)))) + 1
+    SpaceParams(alpha, p, q)  # rejects a non-finite alpha and p or q <= 0
+    j_cap = max(1, math.ceil(math.log2(max(f.degree, 1)))) + 1
     errors = [best_approx_error(f, 2**j, p, grid).value for j in range(j_cap + 1)]
     series = _scale_combine(enumerate(errors), alpha, q)
     return _lp_norm_expansion(f, p, grid) + float(series)

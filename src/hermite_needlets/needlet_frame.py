@@ -195,19 +195,16 @@ def smoothed_kernel(
     y: np.ndarray,
     dim: int = 1,
     dx_order: int = 0,
-    max_degree: int | None = None,
 ) -> np.ndarray:
     """Pointwise smoothed kernel sum_nu a(nu/n) H_nu(x, y) at paired points.
 
     ``x`` and ``y`` have shape (npts,) for d = 1 or (npts, d) for d = 2;
     ``dx_order`` in {0, 1} selects the kernel or its first derivative in x_1.
-    ``max_degree`` defaults to the last degree where the filter is nonzero.
+    The sum stops at the last degree nu <= 6n where a(nu/n) is nonzero.
     """
-    if max_degree is None:
-        probe = np.asarray(a_hat(np.arange(0, 6 * n + 1) / n), dtype=float)
-        nz = np.nonzero(probe)[0]
-        max_degree = int(nz[-1]) if nz.size else 0
-    w = np.asarray(a_hat(np.arange(max_degree + 1) / n), dtype=float)
+    w = np.asarray(a_hat(np.arange(0, 6 * n + 1) / n), dtype=float)
+    nz = np.nonzero(w)[0]
+    w = w[: nz[-1] + 1 if nz.size else 1]
     return hermite_core.filtered_kernel(w, x, y, dim, dx_order)
 
 
@@ -272,28 +269,45 @@ class NeedletCoefficients:
         )
 
 
-def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
-    """Needlet coefficients lambda**(1/2) * (Phi_j * f)(xi) for all levels.
+def _filtered_coeffs(
+    f: HermiteExpansion, frame: NeedletFrame, j_levels: int | None
+) -> dict[int, np.ndarray]:
+    """Per-level a-filtered dense coefficient arrays (levels with content only).
 
-    Exact for band-limited input: the convolution is coefficient filtering,
-    contracted on every axis with the lambda**(1/2)-scaled Hermite matrix.
+    Checks that f fits the frame.  ``j_levels`` may deepen the scale series
+    beyond the frame's built levels (the extra levels are filter-only).
     """
     if f.dim != frame.d:
         raise DimensionMismatchError(
             f"expansion dimension {f.dim} does not match frame dimension {frame.d}"
         )
-    if f.degree > 4**frame.j_max:
-        raise FrameDepthError(
-            f"degree {f.degree} exceeds 4**{frame.j_max}; deepen the frame"
-        )
+    j_top = frame.j_max if j_levels is None else j_levels
+    depth = max(j_top, frame.j_max)
+    if f.degree > 4**depth:
+        raise FrameDepthError(f"degree {f.degree} exceeds 4**{depth}; deepen the frame")
+    out = {}
+    for j in range(j_top + 1):
+        filtered = level_filter(frame.pair.a_hat, j, f.degree, f.dim) * f.array
+        if np.any(filtered):
+            out[j] = filtered
+    return out
+
+
+def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
+    """Needlet coefficients lambda**(1/2) * (Phi_j * f)(xi) for all levels.
+
+    Exact for band-limited input: the convolution is coefficient filtering,
+    contracted on every axis with the lambda**(1/2)-scaled Hermite matrix.
+    Degrees in (4**(j_max-1), 4**j_max] are accepted but do not round-trip
+    through ``synthesize``: only a level j_max + 1 would complete the sum of
+    a_hat * b_hat there, so at j_max = 3 h_40 comes back as 0.5 h_40.
+    """
     out: dict[int, np.ndarray] = {}
-    for level in frame.levels:
-        filtered = level_filter(frame.pair.a_hat, level.j, f.degree, f.dim) * f.array
-        if not np.any(filtered):
-            continue
-        root_weights = np.sqrt(level.rule.christoffel_weights)
-        hmat = hermite_core.hermite_values(f.degree, level.rule.nodes, root_weights)
-        out[level.j] = hermite_core.contract_axes(filtered, [hmat] * f.dim).ravel()
+    for j, filtered in _filtered_coeffs(f, frame, None).items():
+        rule = frame.levels[j].rule
+        root_weights = np.sqrt(rule.christoffel_weights)
+        hmat = hermite_core.hermite_values(f.degree, rule.nodes, root_weights)
+        out[j] = hermite_core.contract_axes(filtered, [hmat] * f.dim).ravel()
     return NeedletCoefficients(frame=frame, level_values=out)
 
 
@@ -397,15 +411,14 @@ def localization_profile(
     node_index: int,
     k: int,
     dx_order: int = 0,
-    n_samples: int = 321,
 ) -> LocalizationReport:
     """Sample the level-j kernel decay away from one node.
 
     The inner maximum normalizes |kernel| * (1 + 2^j |x-xi|)^k by 2**(j d)
-    over the fixed scaled window 2^j |x-xi| <= LOCALIZATION_WINDOW; the tail
-    maximum is the raw kernel magnitude where every constituent degree is
-    evanescent, namely |x|_inf >= R = 1.2 * sqrt(4 * 4**j + 2), sampled at 40
-    points of the ray whose |x|_inf spans [R, 1.5 R].
+    at 321 points of the scaled window 2^j |x-xi| <= LOCALIZATION_WINDOW;
+    the tail maximum is the raw kernel magnitude where every constituent
+    degree is evanescent, namely |x|_inf >= R = 1.2 * sqrt(4 * 4**j + 2),
+    sampled at 40 points of the ray whose |x|_inf spans [R, 1.5 R].
     """
     if k > 10 or k < 0:
         raise ParameterError(f"decay exponent k must lie in 0..10, got {k}")
@@ -413,9 +426,7 @@ def localization_profile(
     if not 0 <= node_index < level.node_count:
         raise ParameterError(f"node index {node_index} outside level {j}")
     xi = level.nodes_at(node_index)
-    offsets = np.linspace(
-        -LOCALIZATION_WINDOW, LOCALIZATION_WINDOW, n_samples
-    ) / 2.0**j
+    offsets = np.linspace(-LOCALIZATION_WINDOW, LOCALIZATION_WINDOW, 321) / 2.0**j
     tail_radius = 1.2 * math.sqrt(4.0 * 4.0**j + 2.0)
     tail_offsets = math.sqrt(frame.d) * (
         np.linspace(tail_radius, 1.5 * tail_radius, 40) - xi.max()
@@ -457,17 +468,16 @@ def decay_statistics(
     n: int,
     k: int,
     dx_order: int = 0,
-    window: float = LOCALIZATION_WINDOW,
 ) -> tuple[float, float]:
     """Measured decay constant and tail level of the smoothed kernel (d = 1).
 
     Returns ``(bulk_sup, tail_sup)`` where the bulk value is
     sup |D^a Lambda_n(x,y)| (1 + sqrt(n)|x-y|)^k / n^((a+1)/2) over bulk x
-    and scaled offsets up to ``window``, and the tail value is the same
-    weighted quantity for |x| >= 1.2*sqrt(4n+2) against bulk y.
+    and scaled offsets up to LOCALIZATION_WINDOW, and the tail value is the
+    same weighted quantity for |x| >= 1.2*sqrt(4n+2) against bulk y.
     """
     u = np.linspace(-0.8, 0.8, 33)
-    w = np.linspace(0.0, window, 161)
+    w = np.linspace(0.0, LOCALIZATION_WINDOW, 161)
     xs, ws = np.meshgrid(u * math.sqrt(2.0 * n), w, indexing="ij")
     x_flat = xs.ravel()
     y_flat = (xs - ws / math.sqrt(n)).ravel()

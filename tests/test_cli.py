@@ -335,6 +335,36 @@ class TestDecomposeReconstruct:
         assert counting.zeros_calls <= len(frame.levels)
 
 
+    def _reconstruct(self, tmp_path, rows):
+        coeffs, out = tmp_path / "c.csv", tmp_path / "r.json"
+        coeffs.write_text("\n".join(["level,node_index,xi_1,s_value", *rows]) + "\n")
+        code = run(["reconstruct", "--coeffs", str(coeffs), "--j-max", "2", "--out", str(out)])
+        return code, out
+
+    def test_reconstruct_level_not_an_integer(self, tmp_path, capsys):
+        code, out = self._reconstruct(tmp_path, ["1,3,0.0,1.0", "1.5,2,0.0,0.5"])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: ") and err.count("\n") == 1
+        assert "'1.5,2,0.0,0.5'" in err
+
+    def test_reconstruct_skips_blank_lines(self, tmp_path):
+        rows = ["1,3,0.0,1.0", "2,0,0.0,0.5"]
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        code, plain = self._reconstruct(tmp_path / "a", rows)
+        assert code == 0
+        code, spaced = self._reconstruct(tmp_path / "b", ["", rows[0], "", "  ", rows[1], ""])
+        assert code == 0
+        assert spaced.read_bytes() == plain.read_bytes()
+
+    def test_reconstruct_header_only(self, tmp_path, recwarn):
+        code, out = self._reconstruct(tmp_path, [])
+        assert code == 0
+        assert json.loads(out.read_text()) == {"dim": 1, "degree": 0, "coeffs": []}
+        assert not recwarn.list
+
+
 class TestNorms:
     def test_ground_state_f_norm(self, capsys):
         code = run(

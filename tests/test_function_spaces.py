@@ -49,6 +49,14 @@ class TestParams:
         with pytest.raises(ParameterError):
             GridSpec(-1.0, 64)
 
+    @pytest.mark.parametrize("alpha", [math.nan, INF, -INF])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # every norm would otherwise return nan, inf or 0.0 without a word
+        with pytest.raises(ParameterError):
+            SpaceParams(alpha, 2.0, 2.0)
+        with pytest.raises(ParameterError):
+            approximation_norm(HermiteExpansion(1, 2, {(2,): 1.0}), alpha, 2.0)
+
 
 class TestSequenceNorms:
     def test_single_coefficient_telescopes(self, frame_j3, grid_j3):
@@ -524,6 +532,23 @@ class TestPowerSum:
     def test_all_zero_is_zero(self):
         assert fs._power_sum(np.zeros(5), 3.0) == 0.0
         assert fs._power_sum(np.zeros((4, 3)), 0.5, [np.ones(4), np.ones(3)]) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [3.0, 1.5])
+    def test_f_equals_b_at_p_equals_q(self, d, p, frame_j3, frame_d2_j3):
+        # Fubini: at p = q the pointwise scale combine of the F norm and the
+        # per-level norms of the B norm give one value on the same grid
+        from conftest import random_expansion_2d
+
+        rng = np.random.default_rng([d, 11])
+        frame = frame_j3 if d == 1 else frame_d2_j3
+        f = random_expansion_1d(30, rng) if d == 1 else random_expansion_2d(10, rng)
+        params, grid = SpaceParams(0.5, p, p), default_grid(frame)
+        b = b_continuous_norm(f, params, frame, grid)
+        assert f_continuous_norm(f, params, frame, grid) == pytest.approx(b, rel=1e-13)
+        filtered = fs._filtered_coeffs(f, frame, None)
+        blocks = fs._expansion_blocks(filtered, d, f.degree, grid.axis())
+        assert fs._combined_lp(blocks, params, grid.step**d) == pytest.approx(b, rel=1e-13)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("p, q", [(1.5, 1.0), (3.0, 2.0), (4.0, 3.0), (INF, 2.0)])
