@@ -62,11 +62,8 @@ from .needlet_frame import (
     build_frame,
     build_level,
     half_node_count,
+    level_kernel,
     localization_profile,
-    needlet_eval,
-    phi_kernel,
-    psi_kernel,
-    smoothed_kernel,
     synthesize,
 )
 from .quadrature import (

@@ -92,8 +92,6 @@ class RunConfig:
             if unknown:
                 raise ParameterError(f"unknown config keys: {sorted(unknown)}")
             for key, value in data.items():
-                if key == "cutoff" and isinstance(value, dict):
-                    value = value.get("kind", "quadratic")
                 _check_config_value(key, value, _FIELD_TYPES[key])
                 setattr(cfg, key, value)
         env_budget = os.environ.get("NEEDLET_NODE_BUDGET")

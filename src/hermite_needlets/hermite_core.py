@@ -225,25 +225,10 @@ def projector_kernel(n: int, x, y) -> float:
     return float(filtered_kernel(w, px[None], py[None], px.size)[0])
 
 
-def partial_sum_kernel(n: int, x, y, method: str = "direct") -> float:
-    """Kernel K_n(x,y) of the projector onto total degree <= n.
-
-    ``method='cd'`` uses the Christoffel-Darboux form (d = 1, x != y only);
-    the direct sum is the reference path.
-    """
+def partial_sum_kernel(n: int, x, y) -> float:
+    """Kernel K_n(x,y) of the projector onto total degree <= n."""
     _check_degree(n)
     px, py = _point_pair(x, y)
-    if method not in ("direct", "cd"):
-        raise ParameterError(f"unknown method {method!r}")
-    if method == "cd":
-        if px.size != 1:
-            raise ParameterError("only the direct sum is available for d = 2")
-        xv, yv = float(px[0]), float(py[0])
-        if xv == yv:
-            raise ParameterError("Christoffel-Darboux form needs x != y")
-        vals = hermite_values(n + 1, np.array([xv, yv]))
-        num = vals[n + 1, 0] * vals[n, 1] - vals[n, 0] * vals[n + 1, 1]
-        return float(math.sqrt((n + 1) / 2.0) * num / (xv - yv))
     return float(filtered_kernel(np.ones(n + 1), px[None], py[None], px.size)[0])
 
 
@@ -290,14 +275,20 @@ def filtered_kernel(
     """sum_nu w_nu H_nu(x, y), or its derivative in x_1, at paired points.
 
     H_nu is the kernel of the projector onto total degree exactly nu;
-    ``x`` and ``y`` have shape (npts,) for d = 1 or (npts, d) for d = 2.
+    ``x`` and ``y`` share one shape, (npts, d) or, at d = 1 only, (npts,).
     """
     _check_dim(dim)
     if dx_order not in (0, 1):
         raise ParameterError(f"dx_order must be 0 or 1, got {dx_order}")
     m = w.size - 1
-    xp = np.asarray(x, dtype=float).reshape(-1, dim)
-    yp = np.asarray(y, dtype=float).reshape(-1, dim)
+    xp, yp = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    cols = xp.shape[1] if xp.ndim == 2 else 1  # (npts,) holds npts 1-d points
+    if xp.shape != yp.shape or xp.ndim not in (1, 2) or cols != dim:
+        raise DimensionMismatchError(
+            f"x and y must share shape (npts, {dim}), or (npts,) at d = 1; "
+            f"got {xp.shape} and {yp.shape}"
+        )
+    xp, yp = xp.reshape(-1, dim), yp.reshape(-1, dim)
     x1_values = hermite_values if dx_order == 0 else hermite_derivative_values
     factors = [
         (x1_values if i == 0 else hermite_values)(m, xp[:, i])

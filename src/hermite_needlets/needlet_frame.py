@@ -188,65 +188,24 @@ def level_band(j: int) -> tuple[int, int]:
     return lo, hi
 
 
-def smoothed_kernel(
-    a_hat: Callable,
-    n: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    dim: int = 1,
-    dx_order: int = 0,
-) -> np.ndarray:
-    """Pointwise smoothed kernel sum_nu a(nu/n) H_nu(x, y) at paired points.
-
-    ``x`` and ``y`` have shape (npts,) for d = 1 or (npts, d) for d = 2;
-    ``dx_order`` in {0, 1} selects the kernel or its first derivative in x_1.
-    The sum stops at the last degree nu <= 6n where a(nu/n) is nonzero.
-    """
-    w = np.asarray(a_hat(np.arange(0, 6 * n + 1) / n), dtype=float)
-    nz = np.nonzero(w)[0]
-    w = w[: nz[-1] + 1 if nz.size else 1]
-    return hermite_core.filtered_kernel(w, x, y, dim, dx_order)
-
-
-def phi_kernel(frame: NeedletFrame, j: int, x, y) -> float:
-    """Analysis kernel at level j (projector kernel smoothed by a_hat)."""
-    x, y = (hermite_core._as_point(p, frame.d) for p in (x, y))
-    return float(_level_kernel(frame, j, x, y, frame.pair.a_hat)[0])
-
-
-def psi_kernel(frame: NeedletFrame, j: int, x, y) -> float:
-    """Synthesis kernel at level j (smoothed by b_hat)."""
-    x, y = (hermite_core._as_point(p, frame.d) for p in (x, y))
-    return float(_level_kernel(frame, j, x, y, frame.pair.b_hat)[0])
-
-
 def _frame_level(frame: NeedletFrame, j: int) -> FrameLevel:
     if not 0 <= j <= frame.j_max:
         raise ParameterError(f"level {j} outside 0..{frame.j_max}")
     return frame.levels[j]
 
 
-def _level_kernel(frame, j, x, y, cutoff, dx_order=0) -> np.ndarray:
-    """Level-j kernel smoothed by ``cutoff`` at paired points ``x``, ``y``.
+def level_kernel(frame, j, x, y, cutoff, dx_order=0) -> np.ndarray:
+    """Level-j kernel sum_nu cutoff(nu / 4**(j-1)) H_nu(x, y) at paired points.
 
-    Points have shape (npts,) for d = 1 or (npts, d) for d = 2; ``dx_order``
-    1 gives the derivative in x_1.
+    Pass ``frame.pair.a_hat`` for the analysis kernel and ``frame.pair.b_hat``
+    for the synthesis kernel; the needlet at node xi_i is then
+    sqrt(level.weights_at(i)) * level_kernel(frame, j, x, xi_i, cutoff).
+    Points have shape (npts, d), or (npts,) at d = 1; ``dx_order`` 1 gives
+    the derivative in x_1.
     """
     _frame_level(frame, j)
     w = filter_weights(cutoff, j, level_band(j)[1])
     return hermite_core.filtered_kernel(w, x, y, frame.d, dx_order)
-
-
-def needlet_eval(frame: NeedletFrame, side: str, j: int, node_index: int, x) -> float:
-    """Frame element value: weights**(1/2) times the level kernel at the node."""
-    if side not in ("analysis", "synthesis"):
-        raise ParameterError(f"side must be 'analysis' or 'synthesis', got {side!r}")
-    level = _frame_level(frame, j)
-    if not 0 <= node_index < level.node_count:
-        raise ParameterError(f"node index {node_index} outside level {j}")
-    xi = level.nodes_at(node_index)
-    kern = phi_kernel if side == "analysis" else psi_kernel
-    return math.sqrt(level.weights_at(node_index)) * kern(frame, j, x, xi)
 
 
 @dataclass
@@ -436,7 +395,7 @@ def localization_profile(
     pts_x = xi + all_offsets[:, None] * direction
     xinf = np.max(np.abs(pts_x), axis=1)
     pts_y = np.broadcast_to(xi, pts_x.shape)
-    vals = _level_kernel(frame, j, pts_x, pts_y, frame.pair.a_hat, dx_order)
+    vals = level_kernel(frame, j, pts_x, pts_y, frame.pair.a_hat, dx_order)
     dist = np.abs(all_offsets)
     weighted = np.abs(vals) * (1.0 + 2.0**j * dist) ** k
     # the 40 constructed samples are tail even where x rounds an ulp inside R
@@ -476,12 +435,16 @@ def decay_statistics(
     and scaled offsets up to LOCALIZATION_WINDOW, and the tail value is the
     same weighted quantity for |x| >= 1.2*sqrt(4n+2) against bulk y.
     """
+    # a(nu/n) for nu <= 6n, trimmed after its last nonzero value
+    filt = np.asarray(a_hat(np.arange(0, 6 * n + 1) / n), dtype=float)
+    nz = np.nonzero(filt)[0]
+    filt = filt[: nz[-1] + 1 if nz.size else 1]
     u = np.linspace(-0.8, 0.8, 33)
     w = np.linspace(0.0, LOCALIZATION_WINDOW, 161)
     xs, ws = np.meshgrid(u * math.sqrt(2.0 * n), w, indexing="ij")
     x_flat = xs.ravel()
     y_flat = (xs - ws / math.sqrt(n)).ravel()
-    vals = smoothed_kernel(a_hat, n, x_flat, y_flat, dim=1, dx_order=dx_order)
+    vals = hermite_core.filtered_kernel(filt, x_flat, y_flat, 1, dx_order)
     weight = (1.0 + math.sqrt(n) * np.abs(x_flat - y_flat)) ** k
     expo = (dx_order + 1) / 2.0
     bulk = float(np.max(np.abs(vals) * weight) / n**expo)
@@ -489,9 +452,7 @@ def decay_statistics(
     xt = np.linspace(1.2 * math.sqrt(4.0 * n + 2.0), 1.5 * math.sqrt(4.0 * n + 2.0), 25)
     yt = np.linspace(-0.9 * math.sqrt(2.0 * n), 0.9 * math.sqrt(2.0 * n), 41)
     xg, yg = np.meshgrid(xt, yt, indexing="ij")
-    tvals = smoothed_kernel(
-        a_hat, n, xg.ravel(), yg.ravel(), dim=1, dx_order=dx_order
-    )
+    tvals = hermite_core.filtered_kernel(filt, xg.ravel(), yg.ravel(), 1, dx_order)
     tweight = (1.0 + math.sqrt(n) * np.abs(xg.ravel() - yg.ravel())) ** k
     tail = float(np.max(np.abs(tvals) * tweight) / n**expo)
     return bulk, tail

@@ -272,7 +272,10 @@ def suite_kernels() -> list[CheckResult]:
     for n in (8, 64):
         for x, y in ((0.3, -1.2), (2.0, 2.5), (-4.0, 1.0)):
             direct = hc.partial_sum_kernel(n, x, y)
-            cd = hc.partial_sum_kernel(n, x, y, method="cd")
+            # Christoffel-Darboux form of the same kernel, valid for x != y
+            h = hc.hermite_values(n + 1, np.array([x, y]))
+            num = h[n + 1, 0] * h[n, 1] - h[n, 0] * h[n + 1, 1]
+            cd = math.sqrt((n + 1) / 2.0) * num / (x - y)
             worst = max(worst, abs(direct - cd) / max(1e-30, abs(direct)))
     res.append(
         _check("kernels", "christoffel-darboux", worst < 1e-10, f"rel dev {worst:.2e}")

@@ -540,6 +540,21 @@ class TestBadInputExits2:
         assert run(argv + ["--out", str(tmp_path / "decay.csv")]) == 2
         self._assert_one_line(capsys)
 
+    @pytest.mark.parametrize("node", ["100000", "-1"])
+    def test_decay_node_outside_level(self, tmp_path, capsys, node):
+        argv = ["decay", "--j-max", "2", "--level", "2", "--node", node]
+        assert run(argv + ["--out", str(tmp_path / "decay.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"parameter error: node index {node} outside level 2\n"
+
+    @pytest.mark.parametrize("cutoff", [{"kind": "dual", "beta": 3}, {}])
+    def test_config_cutoff_object_rejected(self, tmp_path, capsys, cutoff):
+        # the cutoff is a name, "quadratic" or "dual", as on the command line
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cutoff": cutoff}))
+        assert run(["frame", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+        self._assert_one_line(capsys)
+
     @pytest.mark.parametrize("row", ["1,999,0.0,1.0", "1,-1,0.0,1.0", "1,x,0.0,1.0"])
     def test_reconstruct_bad_coefficient_row(self, tmp_path, capsys, row):
         coeffs = tmp_path / "c.csv"

@@ -157,7 +157,9 @@ class TestTensorAndKernels:
         for n in (4, 32, 100):
             for x, y in ((0.1, -0.4), (2.0, 2.2), (-5.0, 0.5)):
                 direct = partial_sum_kernel(n, x, y)
-                cd = partial_sum_kernel(n, x, y, method="cd")
+                h = hc.hermite_values(n + 1, np.array([x, y]))
+                num = h[n + 1, 0] * h[n, 1] - h[n, 0] * h[n + 1, 1]
+                cd = math.sqrt((n + 1) / 2.0) * num / (x - y)
                 assert cd == pytest.approx(direct, rel=1e-10, abs=1e-25)
 
     def test_partial_sum_d2_cumulative(self):
@@ -364,6 +366,22 @@ class TestTotalDegreeSums:
         want = np.einsum("kp,kp->p", u, hc.total_degree_weights(w, 2) @ v)
         got = hc.filtered_kernel(w, x, y, 2, dx_order)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "dim,x_shape,y_shape",
+        [
+            (2, (2, 3), (2, 3)),  # three coordinates are not a d = 2 point
+            (1, (2, 2), (2, 2)),
+            (2, (4,), (4,)),  # the flat form is for d = 1 only
+            (1, (3,), (2,)),
+            (2, (3, 2), (2, 2)),
+            (1, (3,), (3, 1)),
+            (1, (), ()),
+        ],
+    )
+    def test_filtered_kernel_point_shapes_checked(self, dim, x_shape, y_shape):
+        with pytest.raises(DimensionMismatchError, match="must share shape"):
+            hc.filtered_kernel(np.ones(5), np.zeros(x_shape), np.zeros(y_shape), dim)
 
     def test_d2_partial_sum_kernel_memory_is_linear_in_degree(self):
         # the (n+1)^2 Hankel weight matrix alone would take 32 MB here

@@ -15,12 +15,10 @@ from hermite_needlets import (
     build_level,
     half_node_count,
     hermite_function,
+    level_kernel,
     localization_profile,
     make_dual_pair,
     make_type_b,
-    needlet_eval,
-    phi_kernel,
-    psi_kernel,
     synthesize,
 )
 from hermite_needlets import hermite_core as hc
@@ -115,11 +113,17 @@ class TestLevelConstruction:
         assert [lev["half_nodes"] for lev in m["levels"]] == [5, 11, 36, 135]
 
 
+def _kernel(frame, j, x, y, side="a_hat"):
+    """The level-j kernel at one pair of points, smoothed by a_hat or b_hat."""
+    x, y = (np.reshape(p, (1, frame.d)) for p in (x, y))
+    return float(level_kernel(frame, j, x, y, getattr(frame.pair, side))[0])
+
+
 class TestKernels:
     def test_level0_is_ground_state(self, frame_j3):
         x, y = 0.3, -1.1
         want = hermite_function(0, x) * hermite_function(0, y)
-        assert phi_kernel(frame_j3, 0, x, y) == pytest.approx(want, rel=1e-14)
+        assert _kernel(frame_j3, 0, x, y) == pytest.approx(want, rel=1e-14)
 
     def test_level1_band(self, frame_j3):
         # level 1 samples the cutoff at integers, so only degrees 1..3 enter
@@ -128,17 +132,29 @@ class TestKernels:
         want = sum(
             float(a(nu)) * hc.projector_kernel(nu, x, y) for nu in range(1, 4)
         )
-        assert phi_kernel(frame_j3, 1, x, y) == pytest.approx(want, rel=1e-12)
+        assert _kernel(frame_j3, 1, x, y) == pytest.approx(want, rel=1e-12)
 
     def test_symmetry(self, frame_j3):
-        assert phi_kernel(frame_j3, 2, 0.3, -1.1) == phi_kernel(frame_j3, 2, -1.1, 0.3)
+        assert _kernel(frame_j3, 2, 0.3, -1.1) == _kernel(frame_j3, 2, -1.1, 0.3)
 
     def test_d2_symmetry(self, frame_d2_j3):
         x, y = (0.3, -1.1), (0.8, 0.45)
-        assert phi_kernel(frame_d2_j3, 2, x, y) == phi_kernel(frame_d2_j3, 2, y, x)
+        assert _kernel(frame_d2_j3, 2, x, y) == _kernel(frame_d2_j3, 2, y, x)
 
     def test_quadratic_pair_kernels_match(self, frame_j3):
-        assert psi_kernel(frame_j3, 2, 0.4, 1.0) == phi_kernel(frame_j3, 2, 0.4, 1.0)
+        b_val = _kernel(frame_j3, 2, 0.4, 1.0, "b_hat")
+        assert b_val == _kernel(frame_j3, 2, 0.4, 1.0)
+
+    def test_dual_pair_synthesis_kernel_against_brute_force(self, frame_j4_dual):
+        # the dual pair is not tight, so the b_hat kernel is its own sum
+        b = frame_j4_dual.pair.b_hat
+        x, y = 0.4, 1.0
+        brute = sum(
+            float(b(nu / 4)) * hc.projector_kernel(nu, x, y) for nu in range(16)
+        )
+        got = _kernel(frame_j4_dual, 2, x, y, "b_hat")
+        assert got == pytest.approx(brute, rel=1e-12)
+        assert abs(got - _kernel(frame_j4_dual, 2, x, y)) > 0.1
 
     def test_needlet_eval_level0(self, frame_j3):
         level = frame_j3.levels[0]
@@ -150,13 +166,14 @@ class TestKernels:
             * hermite_function(0, x)
             * hermite_function(0, xi)
         )
-        assert needlet_eval(frame_j3, "analysis", 0, i, x) == pytest.approx(
-            want, rel=1e-13
-        )
+        got = math.sqrt(level.weights_at(i)) * _kernel(frame_j3, 0, x, xi)
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_analysis_equals_synthesis_for_tight_frame(self, frame_j3):
-        v1 = needlet_eval(frame_j3, "analysis", 2, 30, 1.3)
-        v2 = needlet_eval(frame_j3, "synthesis", 2, 30, 1.3)
+        level = frame_j3.levels[2]
+        xi, scale = level.nodes_at(30), math.sqrt(level.weights_at(30))
+        v1 = scale * _kernel(frame_j3, 2, 1.3, xi)
+        v2 = scale * _kernel(frame_j3, 2, 1.3, xi, "b_hat")
         assert v1 == v2
 
     def test_needlet_decay_window(self, frame_j4):
@@ -169,8 +186,8 @@ class TestKernels:
             i = idxs[len(idxs) // 2]
             xi = level.nodes[i, 0]
             xs = xi + np.linspace(-20.0, 20.0, 101) / 2.0**j
-            vals = np.array(
-                [needlet_eval(frame_j4, "analysis", j, i, x) for x in xs]
+            vals = math.sqrt(level.weights_at(i)) * level_kernel(
+                frame_j4, j, xs, np.full_like(xs, xi), frame_j4.pair.a_hat
             )
             weighted = (
                 np.abs(vals)
@@ -188,31 +205,31 @@ class TestKernels:
             w = float(a(nu / n))
             if w != 0.0:
                 brute += w * hc.projector_kernel(nu, x, y)
-        assert phi_kernel(frame_d2_j3, j, x, y) == pytest.approx(brute, rel=1e-13)
+        assert _kernel(frame_d2_j3, j, x, y) == pytest.approx(brute, rel=1e-13)
 
     def test_d2_derivative_kernel_matches_fd(self, frame_d2_j3):
         a = frame_d2_j3.pair.a_hat
         x, y = np.array([0.4, -0.9]), np.array([1.2, 0.3])
-        val = nf.smoothed_kernel(
-            a, 4, x.reshape(1, 2), y.reshape(1, 2), dim=2, dx_order=1
+        val = level_kernel(
+            frame_d2_j3, 2, x.reshape(1, 2), y.reshape(1, 2), a, dx_order=1
         )[0]
         eps = 1e-6
         xp, xm = x.copy(), x.copy()
         xp[0] += eps
         xm[0] -= eps
         fd = (
-            nf.smoothed_kernel(a, 4, xp.reshape(1, 2), y.reshape(1, 2), dim=2)[0]
-            - nf.smoothed_kernel(a, 4, xm.reshape(1, 2), y.reshape(1, 2), dim=2)[0]
+            level_kernel(frame_d2_j3, 2, xp.reshape(1, 2), y.reshape(1, 2), a)[0]
+            - level_kernel(frame_d2_j3, 2, xm.reshape(1, 2), y.reshape(1, 2), a)[0]
         ) / (2 * eps)
         assert val == pytest.approx(fd, rel=1e-6)
 
     def test_d2_needlet_eval(self, frame_d2_j3):
+        # the row accessors pick the same node and weight as the dense arrays
         lev = frame_d2_j3.levels[1]
         i = 17
-        got = needlet_eval(frame_d2_j3, "analysis", 1, i, (0.2, 0.8))
-        want = math.sqrt(lev.weights[i]) * phi_kernel(
-            frame_d2_j3, 1, (0.2, 0.8), lev.nodes[i]
-        )
+        x = (0.2, 0.8)
+        got = math.sqrt(lev.weights_at(i)) * _kernel(frame_d2_j3, 1, x, lev.nodes_at(i))
+        want = math.sqrt(lev.weights[i]) * _kernel(frame_d2_j3, 1, x, lev.nodes[i])
         assert got == want
 
     def test_d2_localization_inner_node(self, frame_d2_j3):
@@ -224,18 +241,14 @@ class TestKernels:
         assert rep.inner_max > 1.0  # genuinely inner
         assert rep.tail_max < 1e-8
 
-    def test_invalid_side(self, frame_j3):
-        with pytest.raises(ParameterError):
-            needlet_eval(frame_j3, "other", 0, 0, 0.0)
-
     def test_invalid_node(self, frame_j3):
         with pytest.raises(ParameterError):
-            needlet_eval(frame_j3, "analysis", 0, 10**6, 0.0)
+            localization_profile(frame_j3, 0, 10**6, 0)
 
     @pytest.mark.parametrize("j", [-1, 4])
     def test_needlet_eval_level_outside_frame(self, frame_j3, j):
         with pytest.raises(ParameterError):
-            needlet_eval(frame_j3, "analysis", j, 0, 0.0)
+            _kernel(frame_j3, j, 0.0, 0.0)
 
 
 class TestTransforms:
