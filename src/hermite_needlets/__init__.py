@@ -8,7 +8,6 @@ computes the associated smoothness-scale norms from needlet coefficients.
 from .cutoffs import (
     CutoffPair,
     SmoothCutoff,
-    make_dual_pair,
     make_pair,
     make_quadratic_cutoff,
     make_type_a,
@@ -21,7 +20,6 @@ from .errors import (
     FrameMismatchError,
     IngestionAccuracyError,
     InsufficientQuadratureError,
-    InvalidCutoffError,
     InvalidDegreeError,
     NeedletError,
     NumericFailureError,

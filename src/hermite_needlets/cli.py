@@ -10,6 +10,7 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -179,8 +180,6 @@ def _parse_function(
             parts = [float(v) for v in spec[len("bump:") :].split(",")]
         except ValueError as exc:
             raise ParameterError(f"malformed bump spec: {exc}") from exc
-        if not parts:
-            raise ParameterError("bump spec needs at least a width")
         if not all(math.isfinite(v) for v in parts):
             raise ParameterError(f"bump spec has a non-finite value: {spec!r}")
         width = parts[0]
@@ -445,17 +444,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermite-needlets",
         description="Hermite needlet frames: rules, decompositions, norms, checks.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: --out must not stand for --output-dir
+    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    sub = subs.add_parser("rule", help="dump a Gauss-Hermite product rule as CSV")
+    sub = add_parser("rule", help="dump a Gauss-Hermite product rule as CSV")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--d", type=int, default=1, choices=(1, 2))
     sub.add_argument("--out")
     _add_config_flags(sub, "node_budget", "output_dir")
     sub.set_defaults(func=cmd_rule)
 
-    sub = subs.add_parser("frame", help="build a frame; write manifest and levels")
+    sub = add_parser("frame", help="build a frame; write manifest and levels")
     sub.add_argument(
         "--cutoff-table",
         dest="cutoff_table",
@@ -466,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_frame)
 
     for name, handler in (("decompose", cmd_decompose), ("norms", cmd_norms)):
-        sub = subs.add_parser(name)
+        sub = add_parser(name)
         sub.add_argument("--function", required=True, help="hermite:<json> or bump:w,c")
         sub.add_argument("--degree", type=int, help="projection degree for bump specs")
         sub.add_argument("--quad-order", dest="quad_order", type=int)
@@ -484,13 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--id", default="f0", help="function id for the CSV row")
         sub.set_defaults(func=handler)
 
-    sub = subs.add_parser("reconstruct", help="synthesize from a coefficient CSV")
+    sub = add_parser("reconstruct", help="synthesize from a coefficient CSV")
     sub.add_argument("--coeffs", required=True)
     sub.add_argument("--out")
     _add_config_flags(sub, "dimension", *_FRAME_FIELDS, "output_dir")
     sub.set_defaults(func=cmd_reconstruct)
 
-    sub = subs.add_parser("decay", help="kernel localization profile")
+    sub = add_parser("decay", help="kernel localization profile")
     sub.add_argument("--level", type=int, required=True)
     sub.add_argument("--node", type=int)
     sub.add_argument("--k", type=int, default=6)
@@ -499,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sub, "dimension", *_FRAME_FIELDS, "output_dir")
     sub.set_defaults(func=cmd_decay)
 
-    sub = subs.add_parser("shift-study", help="norms of a shifted bump")
+    sub = add_parser("shift-study", help="norms of a shifted bump")
     sub.add_argument("--shifts", required=True, help="comma-separated shifts")
     sub.add_argument("--width", default="1.0")
     sub.add_argument("--alpha", default="1.0")
@@ -510,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sub, *_FRAME_FIELDS, *_GRID_FIELDS, "output_dir")
     sub.set_defaults(func=cmd_shift_study)
 
-    sub = subs.add_parser("verify", help="run the property suite")
+    sub = add_parser("verify", help="run the property suite")
     sub.add_argument(
         "--suite",
         default="all",

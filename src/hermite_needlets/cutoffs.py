@@ -1,4 +1,4 @@
-"""Smooth compactly supported cutoff functions and dual pairs.
+"""Smooth compactly supported cutoff functions and the two shipped pairs.
 
 Everything is built from the classical mollifier ramp
 
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidCutoffError, ParameterError
+from .errors import ParameterError
 
 RAMP_BETA = 0.3
 
@@ -48,27 +48,20 @@ def ramp(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothCutoff:
-    """A smooth cutoff on [0, inf) with known support.
+    """A smooth cutoff on [0, inf).
 
     kind: 'type_a' (plateau at the origin), 'type_b' (bump away from 0),
     'quadratic' (tight-frame bump with a^2(t) + a^2(4t) = 1 on [1/4, 1]),
-    or 'dual' (companion produced by ``make_dual_pair``).
+    or 'dual' (the type-b bump's companion in the shipped 'dual' pair).
     """
 
     kind: str
-    u: float | None
-    v: float
     func: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
         vals = self.func(np.atleast_1d(arr))
         return float(vals[0]) if arr.ndim == 0 else vals
-
-    @property
-    def support(self) -> tuple[float, float]:
-        lo = 0.0 if self.kind == "type_a" else (self.u if self.u is not None else 0.0)
-        return (lo, 1.0 + self.v)
 
 
 def make_type_a(v: float) -> SmoothCutoff:
@@ -84,17 +77,12 @@ def make_type_a(v: float) -> SmoothCutoff:
         out[mid] = 1.0 - ramp((t[mid] - 1.0) / v)
         return out
 
-    return SmoothCutoff(kind="type_a", u=None, v=v, func=func)
+    return SmoothCutoff(kind="type_a", func=func)
 
 
-def make_type_b(
-    u: float = _SUPPORT_LO,
-    plateau: tuple[float, float] = (1.0 / 3.0, 3.0),
-) -> SmoothCutoff:
-    """Bump cutoff supported in [u, 4], equal to 1 on the plateau."""
-    lo, hi = plateau
-    if not (0.0 < u < lo < hi < _SUPPORT_HI):
-        raise ParameterError(f"need 0 < u < plateau < 4, got u={u}, plateau={plateau}")
+def make_type_b() -> SmoothCutoff:
+    """Bump cutoff supported in [1/4, 4], equal to 1 on [1/3, 3]."""
+    u, lo, hi = _SUPPORT_LO, 1.0 / 3.0, 3.0
 
     def func(t):
         t = np.asarray(t, dtype=float)
@@ -106,7 +94,7 @@ def make_type_b(
         out[fall] = 1.0 - ramp((t[fall] - hi) / (_SUPPORT_HI - hi))
         return out
 
-    return SmoothCutoff(kind="type_b", u=u, v=_SUPPORT_HI - 1.0, func=func)
+    return SmoothCutoff(kind="type_b", func=func)
 
 
 def make_quadratic_cutoff() -> SmoothCutoff:
@@ -129,7 +117,7 @@ def make_quadratic_cutoff() -> SmoothCutoff:
         out[upper] = np.cos(0.5 * math.pi * theta(t[upper] / 4.0))
         return out
 
-    return SmoothCutoff(kind="quadratic", u=_SUPPORT_LO, v=_SUPPORT_HI - 1.0, func=func)
+    return SmoothCutoff(kind="quadratic", func=func)
 
 
 @dataclass(frozen=True)
@@ -139,55 +127,31 @@ class CutoffPair:
     a_hat: SmoothCutoff
     b_hat: SmoothCutoff
 
-    def __str__(self) -> str:
-        return f"{self.a_hat.kind}/{self.b_hat.kind} at {id(self):#x}"
 
-
-def _dilation_sum_of_squares(a_hat: SmoothCutoff, t: np.ndarray) -> np.ndarray:
-    # supp a_hat in [1/4, 4] means at most two of these terms are nonzero
-    total = np.zeros_like(t)
-    for nu in range(-2, 3):
-        total += a_hat(4.0**nu * t) ** 2
-    return total
-
-
-def make_dual_pair(a_hat: SmoothCutoff) -> CutoffPair:
+def _dual_pair(a_hat: SmoothCutoff) -> CutoffPair:
     """Companion b_hat(t) = a_hat(t) / sum_nu a_hat(4^nu t)^2.
 
-    The input must be supported in [1/4, 4] and bounded away from zero on
-    [1/3, 3]; otherwise the normalizer degenerates and the construction is
-    rejected.
+    The normalizer needs a_hat supported in [1/4, 4] and bounded away from
+    zero on [1/3, 3]; the type-b bump, its only input, is both.
     """
-    lo, hi = a_hat.support
-    if lo < _SUPPORT_LO - 1e-12 or hi > _SUPPORT_HI + 1e-12:
-        raise InvalidCutoffError(
-            f"dual construction needs support within [1/4, 4], got [{lo}, {hi}]"
-        )
-    probe = np.linspace(_SUPPORT_LO, _SUPPORT_HI, 4001)
-    if np.min(_dilation_sum_of_squares(a_hat, probe)) < 1e-8:
-        raise InvalidCutoffError(
-            "sum of squared dilates vanishes on [1/4, 4]; cutoff is not "
-            "bounded below on [1/3, 3]"
-        )
 
     def b_func(t):
         t = np.asarray(t, dtype=float)
         av = a_hat(t)
         out = np.zeros_like(t)
         live = av != 0.0
-        if np.any(live):
-            denom = _dilation_sum_of_squares(a_hat, t[live])
-            out[live] = av[live] / denom
+        # supp a_hat in [1/4, 4] means at most two of these terms are nonzero
+        denom = sum(a_hat(4.0**nu * t[live]) ** 2 for nu in range(-2, 3))
+        out[live] = av[live] / denom
         return out
 
-    b_hat = SmoothCutoff(kind="dual", u=a_hat.u, v=a_hat.v, func=b_func)
-    return CutoffPair(a_hat=a_hat, b_hat=b_hat)
+    return CutoffPair(a_hat=a_hat, b_hat=SmoothCutoff(kind="dual", func=b_func))
 
 
 _QUADRATIC = make_quadratic_cutoff()
 _SHIPPED = {
     "quadratic": CutoffPair(a_hat=_QUADRATIC, b_hat=_QUADRATIC),
-    "dual": make_dual_pair(make_type_b()),
+    "dual": _dual_pair(make_type_b()),
 }
 
 

@@ -20,10 +20,6 @@ class DimensionMismatchError(ParameterError):
     """Point, multi-index, or expansion dimensions disagree."""
 
 
-class InvalidCutoffError(ParameterError):
-    """Cutoff violates a required support or lower-bound condition."""
-
-
 class InsufficientQuadratureError(ParameterError):
     """Quadrature order too small for the requested projection degree."""
 

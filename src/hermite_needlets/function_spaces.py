@@ -29,6 +29,7 @@ from .hermite_core import HermiteExpansion
 from .needlet_frame import (
     NeedletCoefficients,
     NeedletFrame,
+    _check_frame,
     _filtered_coeffs,
     level_band,
 )
@@ -160,23 +161,24 @@ def _tile_blocks(s: NeedletCoefficients, frame: NeedletFrame, axis: np.ndarray):
 def _scale_combine(pairs, alpha: float, q: float):
     """(sum_j (2^(alpha j) |g_j|)^q)^(1/q) over (j, g_j) pairs, sup for q = inf.
 
-    Pointwise for arrays; 0.0 when there are no pairs.  Holds at most three
-    arrays: the sum, one g_j and its term (g_j goes before the next is drawn).
+    Pointwise for arrays; 0.0 when there are no pairs.  An array g_j is
+    overwritten by its term, so at most two arrays are held: the sum and
+    one term (which goes before the next g_j is drawn).
     """
     acc = None
     for j, g in pairs:
-        term = np.abs(g)
-        del g
+        out = g if isinstance(g, np.ndarray) else None  # a fresh array: overwrite it
+        term = np.abs(g, out=out)
         term *= 2.0 ** (alpha * j)
         if q != INF:
             term **= q
         if acc is None:
             acc = term
         elif q == INF:
-            acc = np.maximum(acc, term)
+            acc = np.maximum(acc, term, out=out)
         else:
             acc += term
-        del term
+        del g, term, out
     if acc is None:
         return 0.0
     return acc if q == INF else acc ** (1.0 / q)
@@ -302,6 +304,7 @@ def f_sequence_norm(
         raise ParameterError("closed form requires finite p = q")
     if method != "grid" and params.p == params.q:
         return b_sequence_norm(s, params, frame)
+    _check_frame(s, frame)
     _validate_grid(grid, frame)
     return _combined_lp(_tile_blocks(s, frame, grid.axis()), params, grid.step**frame.d)
 
@@ -316,6 +319,7 @@ def b_sequence_norm(
     largest count as that cut, which adds less than N 2^-1000 (largest tile
     weight / smallest tile weight) of the level's sum for N tiles.
     """
+    _check_frame(s, frame)
     p, q, alpha = params.p, params.q, params.alpha
     level_terms = {}
     for j, values in s.level_values.items():

@@ -269,6 +269,19 @@ def _degree_sums(factors) -> np.ndarray:
     return acc
 
 
+def _as_points(dim: int, *arrays) -> list[np.ndarray]:
+    """The arrays, of one shape (npts, d) or (npts,) at d = 1 only, as (npts, d)."""
+    pts = [np.asarray(a, dtype=float) for a in arrays]
+    shape = pts[0].shape
+    cols = shape[1] if len(shape) == 2 else 1  # (npts,) holds npts 1-d points
+    if any(p.shape != shape for p in pts) or len(shape) not in (1, 2) or cols != dim:
+        got = " and ".join(str(p.shape) for p in pts)
+        raise DimensionMismatchError(
+            f"points must share shape (npts, {dim}), or (npts,) at d = 1; got {got}"
+        )
+    return [p.reshape(-1, dim) for p in pts]
+
+
 def filtered_kernel(
     w: np.ndarray, x, y, dim: int = 1, dx_order: int = 0
 ) -> np.ndarray:
@@ -281,14 +294,7 @@ def filtered_kernel(
     if dx_order not in (0, 1):
         raise ParameterError(f"dx_order must be 0 or 1, got {dx_order}")
     m = w.size - 1
-    xp, yp = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    cols = xp.shape[1] if xp.ndim == 2 else 1  # (npts,) holds npts 1-d points
-    if xp.shape != yp.shape or xp.ndim not in (1, 2) or cols != dim:
-        raise DimensionMismatchError(
-            f"x and y must share shape (npts, {dim}), or (npts,) at d = 1; "
-            f"got {xp.shape} and {yp.shape}"
-        )
-    xp, yp = xp.reshape(-1, dim), yp.reshape(-1, dim)
+    xp, yp = _as_points(dim, x, y)
     x1_values = hermite_values if dx_order == 0 else hermite_derivative_values
     factors = [
         (x1_values if i == 0 else hermite_values)(m, xp[:, i])
@@ -301,12 +307,12 @@ def filtered_kernel(
 def projector_diag(max_degree: int, points: np.ndarray, dim: int = 1) -> np.ndarray:
     """Diagonal values H_m(x,x) for m = 0..max_degree at d-dim points.
 
-    ``points``: shape (npts,) for d = 1 or (npts, d) for d = 2.
+    ``points``: shape (npts, d) or, at d = 1 only, (npts,).
     Returns shape (max_degree+1, npts).
     """
     _check_degree(max_degree)
     _check_dim(dim)
-    pts = np.asarray(points, dtype=float).reshape(-1, dim)
+    (pts,) = _as_points(dim, points)
     return _degree_sums([hermite_values(max_degree, pts[:, i]) ** 2 for i in range(dim)])
 
 

@@ -140,21 +140,16 @@ def build_frame(
     d: int = 1,
     delta: float = DELTA_DEFAULT,
     j_max: int = 3,
-    cutoff: str | CutoffPair = "quadratic",
+    cutoff: str = "quadratic",
     node_budget: int = quadrature.DEFAULT_NODE_BUDGET,
 ) -> NeedletFrame:
-    """Build levels 0..j_max with the given cutoff pair."""
+    """Build levels 0..j_max with the shipped cutoff pair named ``cutoff``."""
     if j_max < 0:
         raise ParameterError(f"j_max must be >= 0, got {j_max}")
-    if isinstance(cutoff, str):
-        kind = cutoff
-        pair = make_pair(cutoff)
-    else:
-        kind = cutoff.a_hat.kind
-        pair = cutoff
+    pair = make_pair(cutoff)
     levels = tuple(build_level(j, d, delta, node_budget) for j in range(j_max + 1))
     return NeedletFrame(
-        d=d, delta=delta, j_max=j_max, pair=pair, levels=levels, cutoff_kind=kind
+        d=d, delta=delta, j_max=j_max, pair=pair, levels=levels, cutoff_kind=cutoff
     )
 
 
@@ -225,6 +220,14 @@ class NeedletCoefficients:
         return NeedletCoefficients(
             frame=self.frame,
             level_values={j: factor * a for j, a in self.level_values.items()},
+        )
+
+
+def _check_frame(coeffs: NeedletCoefficients, frame: NeedletFrame) -> None:
+    """Raise FrameMismatchError unless ``coeffs`` were taken on ``frame``."""
+    if coeffs.frame.frame_id != frame.frame_id:
+        raise FrameMismatchError(
+            f"coefficients belong to {coeffs.frame.frame_id}, not {frame.frame_id}"
         )
 
 
@@ -316,12 +319,7 @@ def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpan
     Hermite matrix is formed; at d = 2 the matrix is (hi+1) x window.
     Raises NumericFailureError if a coefficient is not finite.
     """
-    source = coeffs.frame
-    if (source.frame_id, source.pair) != (frame.frame_id, frame.pair):
-        raise FrameMismatchError(
-            f"coefficients belong to {source.frame_id} with cutoff pair "
-            f"{source.pair}, not {frame.frame_id} with {frame.pair}"
-        )
+    _check_frame(coeffs, frame)
     cap = 4**frame.j_max
     shape = (cap + 1,) * frame.d
     acc = np.zeros(shape)

@@ -708,6 +708,49 @@ def test_unread_config_flags_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frame", "--j-max", "1", "--out", "f.csv"],
+        ["norms", "--function", "bump:1", "--alpha", "0", "--p", "2", "--q", "2",
+         "--kind", "b", "--j-max", "1", "--id", "x", "--approx", "1"],
+    ],
+    ids=["frame --out", "norms --approx"],
+)
+def test_abbreviated_flags_rejected(tmp_path, monkeypatch, capsys, argv):
+    # a prefix of a flag is not that flag: --out is not --output-dir
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["F", "B", "f", "b", "E", "A"])
+def test_norms_kind_matches_library(capsys, kind):
+    # the bump's degree 4 = 4^(j_max - 1) keeps it inside the frame's band
+    from hermite_needlets import function_spaces as fs
+    from hermite_needlets import needlet_frame as nf
+
+    argv = ["norms", "--j-max", "2", "--function", "bump:1.0,0.3", "--degree", "4",
+            "--alpha", "0.5", "--p", "3", "--q", "2", "--kind", kind, "--approx-n", "2"]
+    assert run(argv) == 0
+    got = float(capsys.readouterr().out.strip().split(",")[-1])
+    frame = build_frame(d=1, j_max=2)
+    grid, params = fs.default_grid(frame), fs.SpaceParams(0.5, 3.0, 2.0)
+    f = fs.project_bump(1.0, [0.3], 1, 4).expansion
+    want = {
+        "F": lambda: fs.f_continuous_norm(f, params, frame, grid),
+        "B": lambda: fs.b_continuous_norm(f, params, frame, grid),
+        "f": lambda: fs.f_sequence_norm(nf.analyze(f, frame), params, frame, grid),
+        "b": lambda: fs.b_sequence_norm(nf.analyze(f, frame), params, frame),
+        "E": lambda: fs.best_approx_error(f, 2, 3.0, grid).value,
+        "A": lambda: fs.approximation_norm(f, 0.5, 2.0, 3.0, grid),
+    }[kind]()
+    assert got == want
+
+
 class TestShiftStudyGrid:
     """At p or q other than 2 the study evaluates on the configured grid."""
 

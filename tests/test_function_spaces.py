@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hermite_needlets import (
+    FrameMismatchError,
     GridSpec,
     HermiteExpansion,
     IngestionAccuracyError,
@@ -490,6 +491,36 @@ def test_scale_combine_holds_three_arrays(q):
         want = np.maximum(want, term) if q == math.inf else want + term**q
     want = want if q == math.inf else want ** (1.0 / q)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [2.0, math.inf])
+def test_scale_combine_overwrites_fresh_arrays(q):
+    # each g_j becomes its own term in place: only the sum and one term are held
+    size = 1 << 20  # 8 MB of doubles
+    pairs = ((j, np.linspace(0.5, 2.0 + j, size)) for j in range(3))
+    tracemalloc.start()
+    try:
+        fs._scale_combine(pairs, 0.5, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * size) < 2.5
+
+
+@pytest.mark.parametrize(
+    "other", [{"d": 2}, {"delta": 0.02}, {"cutoff": "dual"}], ids=["d2", "delta", "dual"]
+)
+@pytest.mark.parametrize("kind", ["b", "f"])
+def test_sequence_norms_check_the_frame(frame_j3, other, kind):
+    # coefficients of one frame are refused on any other, before any indexing
+    s = analyze(random_expansion_1d(8, np.random.default_rng(3)), frame_j3)
+    frame = nf.build_frame(**{"d": 1, "j_max": 3, **other})
+    params = SpaceParams(0.5, 3.0, 2.0)
+    with pytest.raises(FrameMismatchError, match="belong to d1-delta0.025-J3-quadratic"):
+        if kind == "b":
+            b_sequence_norm(s, params, frame)
+        else:
+            f_sequence_norm(s, params, frame, default_grid(frame))
 
 
 def _wide_range_values(rng, shape, top):

@@ -383,6 +383,12 @@ class TestTotalDegreeSums:
         with pytest.raises(DimensionMismatchError, match="must share shape"):
             hc.filtered_kernel(np.ones(5), np.zeros(x_shape), np.zeros(y_shape), dim)
 
+    @pytest.mark.parametrize("dim,shape", [(2, (6,)), (2, (2, 3)), (1, (4, 2))])
+    def test_projector_diag_point_shapes_checked(self, dim, shape):
+        # read as whole points of dimension dim, these would be 3, 3 and 8 points
+        with pytest.raises(DimensionMismatchError, match="must share shape"):
+            hc.projector_diag(2, np.zeros(shape), dim=dim)
+
     def test_d2_partial_sum_kernel_memory_is_linear_in_degree(self):
         # the (n+1)^2 Hankel weight matrix alone would take 32 MB here
         n = 2000

@@ -17,8 +17,7 @@ from hermite_needlets import (
     hermite_function,
     level_kernel,
     localization_profile,
-    make_dual_pair,
-    make_type_b,
+    make_pair,
     synthesize,
 )
 from hermite_needlets import hermite_core as hc
@@ -356,23 +355,23 @@ class TestTransforms:
         with pytest.raises(FrameMismatchError):
             synthesize(s, frame_j4)
 
-    def test_custom_pair_mismatch(self):
-        # both frames get the id d1-delta0.025-J3-type_b
-        a, b = (
-            nf.build_frame(1, j_max=3, cutoff=make_dual_pair(make_type_b(plateau=pl)))
-            for pl in ((1.0 / 3.0, 3.0), (0.4, 2.5))
-        )
-        assert a.frame_id == b.frame_id
-        s = analyze(random_expansion_1d(16, np.random.default_rng(5)), a)
-        with pytest.raises(FrameMismatchError, match="type_b/dual"):
-            synthesize(s, b)
-
     @pytest.mark.parametrize("kind", ["quadratic", "dual"])
     def test_shipped_pair_frames_match(self, kind):
         f = random_expansion_1d(16, np.random.default_rng(6))
         a, b = (nf.build_frame(1, j_max=3, cutoff=kind) for _ in range(2))
         g = synthesize(analyze(f, a), b)
         assert g.array[: f.degree + 1] == pytest.approx(f.array, abs=1e-12)
+
+    def test_frame_mismatch_names_both_frames(self, frame_j3, frame_j4_dual):
+        s = analyze(HermiteExpansion(1, 0, {(0,): 1.0}), frame_j3)
+        want = "^coefficients belong to d1-delta0.025-J3-quadratic, not d1-delta0.025-J4-dual$"
+        with pytest.raises(FrameMismatchError, match=want):
+            synthesize(s, frame_j4_dual)
+
+    def test_cutoff_is_a_name(self):
+        # frames come from the shipped pairs only, asked for by name
+        with pytest.raises(ParameterError, match="unknown cutoff kind"):
+            nf.build_frame(1, j_max=1, cutoff=make_pair("dual"))
 
     def test_dimension_mismatch(self, frame_d2_j3):
         f = HermiteExpansion(1, 0, {(0,): 1.0})
