@@ -39,16 +39,27 @@ def _fmt_column(values: np.ndarray) -> list[str]:
     return [f"{x:.17g}" for x in np.asarray(values, dtype=float).tolist()]
 
 
-def _table_rows(count: int, columns):
-    """CSV rows of an index column followed by float columns.
+def _axis_text(values: np.ndarray) -> np.ndarray:
+    """``_fmt_column`` of a 1-d array as an object array, to index by axis.
 
-    ``columns(rows)`` gives the float columns at the index array ``rows``.
+    A d = 2 table repeats each axis value on many rows; indexing the text
+    formats each value once.
+    """
+    return np.array(_fmt_column(values), dtype=object)
+
+
+def _table_rows(count: int, columns):
+    """CSV rows of an index column followed by float or text columns.
+
+    ``columns(rows)`` gives the columns at the index array ``rows``: float
+    arrays, formatted here, or object arrays of text from ``_axis_text``.
     Rows are formatted a chunk at a time, so a large table is never held
     in memory as text.
     """
     for lo in range(0, count, _CSV_CHUNK):
         rows = np.arange(lo, min(lo + _CSV_CHUNK, count))
-        yield from zip(map(str, rows.tolist()), *(_fmt_column(c) for c in columns(rows)))
+        cols = (c if c.dtype == object else _fmt_column(c) for c in columns(rows))
+        yield from zip(map(str, rows.tolist()), *cols)
 
 
 def _check_config_value(key: str, value, hint) -> None:
@@ -203,8 +214,10 @@ def cmd_rule(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
         _write_csv(path, ["index", "node", "gauss_weight", "christoffel_weight"], rows)
     else:
+        text = _axis_text(rule.base.nodes)
         rows = _table_rows(
-            rule.node_count, lambda r: (*rule.nodes_at(r).T, rule.weights_at(r))
+            rule.node_count,
+            lambda r: (*(text[i] for i in rule.axes(r)), rule.weights_at(r)),
         )
         _write_csv(path, ["index", "node_1", "node_2", "weight"], rows)
     print(path)
@@ -239,12 +252,12 @@ def cmd_frame(args: argparse.Namespace, cfg: RunConfig) -> int:
     ]
     for level in frame.levels:
         path = os.path.join(cfg.output_dir, f"frame_level_{level.j}.csv")
+        nodes, bounds = _axis_text(level.base.nodes), _axis_text(level.interval_bounds)
 
-        def columns(rows, lev=level):
-            cols = [*lev.nodes_at(rows).T, lev.weights_at(rows)]
-            for lo, hi in zip(*lev.tile_box(rows)):
-                cols += [lo, hi]
-            return cols
+        def columns(rows, lev=level, nodes=nodes, bounds=bounds):
+            axes = lev.axes(rows)
+            tiles = (b for i in axes for b in (bounds[i], bounds[i + 1]))
+            return [*(nodes[i] for i in axes), lev.weights_at(rows), *tiles]
 
         _write_csv(
             path,
@@ -266,9 +279,10 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
         for j in sorted(coeffs.level_values):
             values = coeffs.level_values[j]
             level = frame.levels[j]
+            text = _axis_text(level.base.nodes)
 
             def columns(r):
-                return [*level.nodes_at(r).T, values[r]]
+                return [*(text[i] for i in level.axes(r)), values[r]]
 
             for row in _table_rows(len(values), columns):
                 yield (str(j),) + row

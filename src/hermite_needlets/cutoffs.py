@@ -160,7 +160,7 @@ def make_pair(kind: str = "quadratic") -> CutoffPair:
 
     Each kind is one shared pair, so frames of one kind share coefficients.
     """
-    if kind not in _SHIPPED:
+    if not isinstance(kind, str) or kind not in _SHIPPED:
         raise ParameterError(f"unknown cutoff kind {kind!r}")
     return _SHIPPED[kind]
 

@@ -39,8 +39,12 @@ INF = math.inf
 INGESTION_TAIL_TOL = 1e-6
 
 # Values of one level held at a time on a block of grid rows (and the size of
-# a block's d = 1 Hermite matrix): 32 MB of doubles.
-GRID_BLOCK = 1 << 22
+# a block's d = 1 Hermite matrix).  glibc returns a freed block to the system
+# only if it came from mmap, above a dynamic threshold capped at 32 MiB; the
+# extra 2**17 values put every full block of rows of up to 2**17 values over
+# that cap, so no freed block stays in the heap, where the placement of the
+# next blocks would move the peak RSS by a block's size.
+GRID_BLOCK = (1 << 22) + (1 << 17)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ _H0 = math.pi ** -0.25
 _RESCALE_THRESHOLD = 2.0 ** 960
 _RESCALE_DOWN = 2.0 ** -960
 _RESCALE_LOG = 960.0 * math.log(2.0)
+# Bits a tested magnitude may grow by before the next test (see _ledger_steps).
+_RESCALE_ROOM = 48
 
 
 def _check_degree(n: int) -> None:
@@ -50,24 +52,56 @@ def _check_dim(dim: int) -> None:
         raise DimensionMismatchError(f"unsupported dimension {dim}, expected 1 or 2")
 
 
+def _test_gap(tmax: float, k: int, power: int) -> int:
+    """Steps after loop step ``k`` (-1 before the first) without a test.
+
+    The next step grows max(|p|, |p_prev|) by at most the rate
+    tmax*sqrt(2/(k+2)) + 1, and later steps by less, so ``power`` (2 for
+    squares) times log2 of that rate bounds the growth of each step's
+    measure in bits; the gap spends at most ``_RESCALE_ROOM`` of them.
+    """
+    rate = tmax * math.sqrt(2.0 / (k + 2)) + 1.0
+    if not rate > 2.0:  # no points, t = 0 or a NaN t: test every step
+        return 1
+    return max(1, int(_RESCALE_ROOM / (power * math.log2(rate))))
+
+
 def _ledger_steps(n: int, t: np.ndarray, squares: bool = False):
     """Run the recurrence on the polynomial part for degrees k = 0..n, in place.
 
     Yields ``(p_prev, p, mag, logscale, rescaled)`` once per degree, with
     ``h_k = p*exp(logscale)`` and ``h_{k-1} = p_prev*exp(logscale)``, or with
-    ``h_k**2 = p*p*exp(logscale)`` when ``squares`` is set.  ``mag`` is |p|
-    (p*p when ``squares``) before the rescale test, and ``rescaled`` is None
-    or the mask of points whose p, p_prev and ledger were rescaled after that
-    test.  The arrays are reused from one degree to the next.
+    ``h_k**2 = p*p*exp(logscale)`` when ``squares`` is set.  ``rescaled`` is
+    None or the mask of points whose p, p_prev and ledger were rescaled
+    after a test of the measure ``mag``.  With ``squares`` set, ``mag`` is
+    p*p before that rescale at every degree; otherwise it is |p| before the
+    rescale, meaningful only at the degrees that were tested.  The arrays
+    are reused from one degree to the next.
+
+    A test rescales the points whose measure exceeds 2**960.  Tests come in
+    pairs at consecutive degrees, so after one both p and p_prev measure at
+    most 2**960, and the next pair comes ``_test_gap`` steps later, when the
+    measure may have grown by 2**48 at most: it stays below 2**1008, and
+    ``kernel_diag``'s sum of at most DEGREE_CAP + 1 squares below 2**1023.
+    Where a single step may grow it by more (|t| above about 1e7 with
+    ``squares``), every degree is tested.  The last two degrees are always
+    tested, so one further step cannot overflow.  A rescale is an exact
+    power of two, so when it happens moves only the split of the exponent
+    between p and the ledger: h_n/h_n' is bitwise the same, and so is
+    ``kernel_diag`` wherever the number of rescales is.
     """
     logscale = -t * t if squares else -0.5 * t * t
     p_prev = np.zeros_like(t)
     p = np.full_like(t, _H0)
     p_next = np.empty_like(t)
+    tmax = float(np.abs(t, out=p_next).max(initial=0.0))
     # a square crosses 2**960 exactly when |p| crosses 2**480
-    measure, down = (np.square, 2.0**-480) if squares else (np.abs, _RESCALE_DOWN)
+    measure, down, power = (
+        (np.square, 2.0**-480, 2) if squares else (np.abs, _RESCALE_DOWN, 1)
+    )
     mag = measure(p)
     yield p_prev, p, mag, logscale, None
+    due = _test_gap(tmax, -1, power) - 1  # the second step of the next test pair
     for k in range(n):
         # t*sqrt(2/(k+1))*p - sqrt(k/(k+1))*p_prev without temporaries; the
         # operations and their order are the expression's, so bitwise equal
@@ -77,11 +111,16 @@ def _ledger_steps(n: int, t: np.ndarray, squares: bool = False):
         p_next -= p_prev
         p_prev, p, p_next = p, p_next, p_prev
         rescaled = None
-        if measure(p, out=mag).max(initial=0.0) > _RESCALE_THRESHOLD:
-            rescaled = mag > _RESCALE_THRESHOLD
-            p[rescaled] *= down
-            p_prev[rescaled] *= down
-            logscale[rescaled] += _RESCALE_LOG
+        if k + 1 >= due or k + 2 >= n:
+            if measure(p, out=mag).max(initial=0.0) > _RESCALE_THRESHOLD:
+                rescaled = mag > _RESCALE_THRESHOLD
+                p[rescaled] *= down
+                p_prev[rescaled] *= down
+                logscale[rescaled] += _RESCALE_LOG
+            if k >= due:
+                due = k + _test_gap(tmax, k, power)
+        elif squares:
+            np.square(p, out=mag)
         yield p_prev, p, mag, logscale, rescaled
 
 
@@ -128,9 +167,10 @@ def hermite_values(max_degree: int, points: np.ndarray, weights=None) -> np.ndar
     Each row is the polynomial part times w*exp(logscale), with exp(logscale)
     recomputed only at points the ledger rescaled: the ``weights`` (w = 1 if
     omitted) take no pass of their own.  Entries whose true magnitude is below
-    roughly 1e-290 may flush to zero, and so may larger ones where the
-    ledger's exp(logscale) underflows: beyond |t| of about 37.6 and below the
-    degree where the polynomial part first rescales.
+    roughly 1e-290 may flush to zero, and so may larger ones, up to about
+    1e-20, where the ledger's exp(logscale) underflows: beyond |t| of about
+    37.6, below the degree where the polynomial part first rescales and in
+    the few degrees before each later rescale is tested.
     """
     _check_degree(max_degree)
     t = np.asarray(points, dtype=float).ravel()

@@ -16,7 +16,30 @@ def run(args):
     return main(args)
 
 
+def count_formatted(monkeypatch):
+    """Record the length of every column ``cli._fmt_column`` formats."""
+    import hermite_needlets.cli as cli
+
+    sizes, real = [], cli._fmt_column
+
+    def counting(values):
+        out = real(values)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(cli, "_fmt_column", counting)
+    return sizes
+
+
 class TestRule:
+    def test_d2_formats_each_axis_value_once(self, tmp_path, monkeypatch):
+        # the node columns repeat one 1-d node per axis index; only the
+        # weights are formatted per row
+        sizes = count_formatted(monkeypatch)
+        out = tmp_path / "rule.csv"
+        assert run(["rule", "--n", "9", "--d", "2", "--out", str(out)]) == 0
+        assert sum(sizes) == 9 + 9**2
+
     def test_d2_rows_across_chunks(self, tmp_path, monkeypatch):
         # the rows of each chunk are formed on their own; each must still be
         # the product rule's node and weight, formatted as before
@@ -157,6 +180,14 @@ class TestFrame:
         assert vs[0] == 0.0 and vs[-1] == 0.0
         assert (tmp_path / "cutoff_b.csv").exists()
 
+    def test_d2_formats_each_axis_value_once(self, tmp_path, monkeypatch):
+        # per level: the 1-d nodes, the 1-d tile bounds and one weight a row
+        sizes = count_formatted(monkeypatch)
+        assert run(["frame", "--dimension", "2", "--j-max", "1",
+                    "--output-dir", str(tmp_path)]) == 0
+        levels = build_frame(d=2, j_max=1).levels
+        assert sum(sizes) == sum(2 * lev.base.n + 1 + lev.node_count for lev in levels)
+
     def test_level_rows_across_chunks(self, tmp_path, monkeypatch):
         # rows are formatted in chunks; each must still be the node's own
         # coordinates, weight and tile_box, formatted as before
@@ -182,6 +213,26 @@ HERMITE_SPEC = 'hermite:{"dim":1,"coeffs":[[[0],0.5],[[3],-1.25],[[9],2.0]]}'
 
 
 class TestDecomposeReconstruct:
+    def test_d2_rows_format_each_axis_value_once(self, tmp_path, monkeypatch):
+        # each row's coordinates are its level's nodes on each axis; the
+        # 1-d nodes are formatted once a level, the values once a row
+        import hermite_needlets.cli as cli
+
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+        sizes = count_formatted(monkeypatch)
+        out = tmp_path / "c.csv"
+        argv = ["decompose", "--function", "bump:1.0,0.5", "--dimension", "2",
+                "--j-max", "1", "--out", str(out)]
+        assert run(argv) == 0
+        levels = build_frame(d=2, j_max=1).levels
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        for row in rows:
+            xi = levels[int(row[0])].nodes_at(int(row[1]))
+            assert row[2:4] == [cli._fmt(c) for c in xi]
+        present = {int(row[0]) for row in rows}
+        assert present == {0, 1}
+        assert sum(sizes) == len(rows) + sum(levels[j].base.n for j in present)
+
     def test_ground_state_only_level_zero(self, tmp_path):
         out = tmp_path / "c.csv"
         assert (

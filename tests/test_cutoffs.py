@@ -9,6 +9,7 @@ from hermite_needlets import (
     CutoffPair,
     ParameterError,
     SmoothCutoff,
+    build_frame,
     make_pair,
     make_quadratic_cutoff,
     make_type_a,
@@ -102,6 +103,14 @@ class TestDualPair:
             band = np.linspace(1.0 / 3.0, 3.0, 3001)
             assert np.min(np.abs(pair.a_hat(band))) > 0.05
             assert np.min(np.abs(pair.b_hat(band))) > 0.05
+
+
+@pytest.mark.parametrize("kind", [["dual"], {"dual": 1}])
+def test_unhashable_kind_raises_parameter_error(kind):
+    with pytest.raises(ParameterError):
+        make_pair(kind)
+    with pytest.raises(ParameterError):
+        build_frame(1, j_max=1, cutoff=kind)
 
 
 class TestPartitionResidual:

@@ -470,6 +470,15 @@ def test_shift_study_default_degree_for_narrow_width(frame_j3, width):
     assert shift_study(width, [], SpaceParams(1.0, 2.0, 2.0), frame_j3) == []
 
 
+@pytest.mark.parametrize("row_size", [1, 6016, 1 << 17])
+def test_full_grid_blocks_exceed_the_mmap_threshold_cap(row_size):
+    # glibc's dynamic mmap threshold stops at 32 MiB: a freed block above it
+    # goes back to the system, one below it can stay in the heap and move
+    # the next blocks (6016 points: the d = 2, j_max = 4 F-norm's axis)
+    rows = next(fs._row_slices(10**6, row_size))
+    assert (rows.stop - rows.start) * row_size * 8 > 2**25
+
+
 @pytest.mark.parametrize("q", [2.0, 3.0, math.inf])
 def test_scale_combine_holds_three_arrays(q):
     # each level's values are dropped before the next level is drawn, and

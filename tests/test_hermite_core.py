@@ -311,6 +311,90 @@ class TestWeightedValues:
         np.testing.assert_allclose(hc.hermite_values(1023, t, w), want, rtol=1e-15, atol=0)
 
 
+def _per_step_ledger(n, t, squares=False):
+    """The ledger with a rescale test at every degree: the oracle for
+    ``hc._ledger_steps``, which tests only where a rescale can be due."""
+    logscale = -t * t if squares else -0.5 * t * t
+    p_prev = np.zeros_like(t)
+    p = np.full_like(t, hc._H0)
+    p_next = np.empty_like(t)
+    measure, down = (np.square, 2.0**-480) if squares else (np.abs, 2.0**-960)
+    mag = measure(p)
+    yield p_prev, p, mag, logscale, None
+    for k in range(n):
+        np.multiply(t, math.sqrt(2.0 / (k + 1)), out=p_next)
+        p_next *= p
+        p_prev *= math.sqrt(k / (k + 1.0))
+        p_next -= p_prev
+        p_prev, p, p_next = p, p_next, p_prev
+        rescaled = None
+        if measure(p, out=mag).max(initial=0.0) > 2.0**960:
+            rescaled = mag > 2.0**960
+            p[rescaled] *= down
+            p_prev[rescaled] *= down
+            logscale[rescaled] += 960.0 * math.log(2.0)
+        yield p_prev, p, mag, logscale, rescaled
+
+
+class TestLedgerSchedule:
+    """Rescale tests only where one can be due, against a test at every degree.
+
+    Where the two schedules rescale a point at different degrees, the
+    product p*exp(logscale) is rounded through a different ledger entry:
+    one add of 960 log 2 at |logscale| up to about 1450 moves it by at most
+    1.2e-13 of itself.  Values whose ledger underflows before a due rescale
+    is tested flush to zero; they are below 2**1008 times the smallest
+    subnormal, 2**-66.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 72, 1064, 4238, 16938])
+    def test_zeros_bitwise_equal_to_newton_on_per_step_ledger(self, n, monkeypatch):
+        got = quad.hermite_zeros(n)[(n + 1) // 2 :]
+        monkeypatch.setattr(hc, "_ledger_steps", _per_step_ledger)
+        want = quad._newton_polish(n, quad._asymptotic_positive_zeros(n))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [300, 1024, 4238, hc.DEGREE_CAP])
+    def test_kernel_diag_matches_per_step_ledger(self, n, monkeypatch):
+        # |t| up to 200, the largest zero at DEGREE_CAP
+        t = np.linspace(-200.0, 200.0, 801)
+        got = hc.kernel_diag(n, t)
+        monkeypatch.setattr(hc, "_ledger_steps", _per_step_ledger)
+        want = hc.kernel_diag(n, t)
+        assert np.all(np.abs(got - want) <= 1.2e-13 * want.max())
+
+    @pytest.mark.parametrize("n, top, count", [(1024, 45.0, 721), (4000, 100.0, 401),
+                                               (hc.DEGREE_CAP, 200.0, 41)])
+    def test_values_match_per_step_ledger(self, n, top, count, monkeypatch):
+        t = np.linspace(-top, top, count)
+        got = hc.hermite_values(n, t)
+        monkeypatch.setattr(hc, "_ledger_steps", _per_step_ledger)
+        want = hc.hermite_values(n, t)
+        colmax = np.abs(want).max(axis=0)
+        assert np.all(np.abs(got - want) <= 1.2e-13 * colmax + 2.0**-66)
+
+    @pytest.mark.parametrize("t", [0.0, 1e3, 1e6, -1e6])
+    def test_finite_for_adversarial_points(self, t):
+        pts = np.array([t, 0.0])
+        assert np.isfinite(hc.kernel_diag(hc.DEGREE_CAP, pts)).all()
+        assert np.isfinite(hc.hermite_values(2000, pts)).all()
+        assert all(np.isfinite(a).all() for a in hc._scaled_derivative(2000, pts))
+
+    def test_empty_points(self):
+        assert hc.kernel_diag(100, np.empty(0)).shape == (0,)
+        assert hc.hermite_values(100, np.empty(0)).shape == (101, 0)
+        assert quad.hermite_zeros(1).tolist() == [0.0]
+
+    def test_gap_falls_to_one(self):
+        # no points or t = 0: the rate is 1, which would divide by log2(1) = 0
+        assert hc._test_gap(0.0, -1, 1) == hc._test_gap(0.0, 500, 2) == 1
+        # one squared step at |t| = 1e6 may grow by 2**41, most of the room
+        assert hc._test_gap(1e6, -1, 2) == 1
+        assert hc._test_gap(math.nan, 10, 1) == hc._test_gap(math.inf, 10, 1) == 1
+        # at the largest zero of the largest rule the tests are sparse
+        assert hc._test_gap(200.0, -1, 1) >= 5 and hc._test_gap(200.0, 10000, 2) >= 10
+
+
 class TestContractAxes:
     """Axis i of the array contracts with the rows of matrix i, for d = 1, 2."""
 
