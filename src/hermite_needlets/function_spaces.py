@@ -6,7 +6,9 @@ family), each with a sequence-space twin evaluated on the frame's tiles.
 L2-based cases use exact Parseval identities on filtered coefficients; all
 other integrals are truncated to [-R, R]^d and evaluated by the composite
 midpoint rule on a tensor grid, accumulated one block of grid rows at a
-time, so no level's full grid is held in memory.
+time, so no level's full grid is held in memory.  Expansions are evaluated
+only on the grid's band window, the cells where some Hermite function of
+their band can matter (``_band_window``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
 )
 from .hermite_core import HermiteExpansion
 from .needlet_frame import (
+    WINDOW_TAU,
     NeedletCoefficients,
     NeedletFrame,
     _check_frame,
@@ -121,15 +124,40 @@ def _row_slices(n_rows: int, row_size: int):
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
-def _expansion_blocks(
-    filtered: dict[int, np.ndarray], dim: int, degree: int, axis: np.ndarray
-):
-    """Yield every level's values on the next block of grid rows.
+def _band_window(axis: np.ndarray, degree: int, p: float) -> slice:
+    """The run of ``axis`` cells with |x| <= R, outside which every |h_k| <= tau_p.
 
-    A block is an iterator of ``(j, values)`` pairs, computed as it is read,
-    so read each block before asking for the next.  The first axis contracts
-    with the block's row Hermite matrix, the others with the whole axis's.
+    k runs over 0..degree, tau_p = WINDOW_TAU**max(1, 1/p) (WINDOW_TAU at
+    p = inf), and R is ``hermite_core.decay_radius`` over the positive cells.
+    On a dropped cell of a d-dim grid a band-limited
+    g = sum_alpha c_alpha H_alpha has |g| <= tau_p pi^(-(d-1)/4) ||c||_1
+    (|h_k| <= pi^(-1/4) on the other axes), so the sum of |g|^p over a grid
+    moves by at most N_dropped * cell volume * (that bound)^p.
     """
+    log_tau = math.log(WINDOW_TAU) * max(1.0, 1.0 / p)
+    radius = hermite_core.decay_radius(degree, axis[axis > 0.0], log_tau)
+    kept = np.flatnonzero(np.abs(axis) <= radius)
+    return slice(int(kept[0]), int(kept[-1]) + 1)
+
+
+def _expansion_blocks(
+    filtered: dict[int, np.ndarray],
+    dim: int,
+    degree: int,
+    axis: np.ndarray,
+    p: float = INF,
+):
+    """Yield every level's values on the next block of the band window's rows.
+
+    Only the ``_band_window(axis, degree, p)`` cells of every axis are
+    evaluated (p = inf's window if p is not given): the same cells and cell
+    volume, less the ones where no value reaches the window's bound.  A
+    block is an iterator of ``(j, values)`` pairs, computed as it is read,
+    so read each block before asking for the next.  The first axis
+    contracts with the block's row Hermite matrix, the others with the
+    whole window's.
+    """
+    axis = axis[_band_window(axis, degree, p)]
     cols = [hermite_core.hermite_values(degree, axis) for _ in range(dim - 1)]
     for rows in _row_slices(axis.size, max(axis.size ** (dim - 1), degree + 1)):
         mats = [hermite_core.hermite_values(degree, axis[rows]), *cols]
@@ -261,7 +289,7 @@ def f_continuous_norm(
     if not filtered:
         return 0.0
     _validate_grid(grid, frame)
-    blocks = _expansion_blocks(filtered, f.dim, f.degree, grid.axis())
+    blocks = _expansion_blocks(filtered, f.dim, f.degree, grid.axis(), params.p)
     return _combined_lp(blocks, params, grid.step**f.dim)
 
 
@@ -282,7 +310,7 @@ def b_continuous_norm(
         }
     else:
         _validate_grid(grid, frame)
-        blocks = _expansion_blocks(filtered, f.dim, f.degree, grid.axis())
+        blocks = _expansion_blocks(filtered, f.dim, f.degree, grid.axis(), params.p)
         level_norms = _lp_norms(blocks, params.p, grid.step**f.dim)
     return float(_scale_combine(level_norms.items(), params.alpha, params.q))
 
@@ -343,7 +371,7 @@ def _lp_norm_expansion(
         return f.l2_norm()
     if grid is None:
         raise ResolutionError("L^p evaluation with p != 2 needs a grid")
-    blocks = _expansion_blocks({0: f.array}, f.dim, f.degree, grid.axis())
+    blocks = _expansion_blocks({0: f.array}, f.dim, f.degree, grid.axis(), p)
     return _lp_norms(blocks, p, grid.step**f.dim)[0]
 
 

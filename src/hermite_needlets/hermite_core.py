@@ -147,6 +147,34 @@ def _scaled_derivative(n: int, t: np.ndarray):
     return p_n, deriv, logscale
 
 
+def decay_radius(n: int, points: np.ndarray, log_tau: float) -> float:
+    """First of the ascending ``points`` beyond sqrt(2n+1) with log|h_n| <= log_tau.
+
+    Beyond the turning point sqrt(2n+1), |h_n| falls as |t| grows and bounds
+    every |h_k| with k <= n, so no |h_k| exceeds exp(log_tau) beyond the
+    result; inf if no point qualifies.  log|h_n| = log|p| + logscale is read
+    from the ledger and never exponentiated, so no flush to zero moves it.
+    Two recurrence passes, O(n sqrt(m)) for m points beyond the turning
+    point: one over every isqrt(m)-th point, one over the stride that holds
+    the first qualifying point.
+    """
+    _check_degree(n)
+    beyond = points[points > math.sqrt(2.0 * n + 1.0)]
+
+    def first_below(t):  # index of the first qualifying point, t.size if none
+        if not t.size:
+            return 0
+        _, p, logscale = _scaled_state(n, t)
+        below = np.log(np.abs(p)) + logscale <= log_tau
+        return int(np.argmax(below)) if below.any() else t.size
+
+    stride = max(1, math.isqrt(beyond.size))
+    lo = first_below(beyond[stride - 1 :: stride]) * stride
+    fine = beyond[lo : lo + stride]
+    k = first_below(fine)
+    return float(fine[k]) if k < fine.size else math.inf
+
+
 def hermite_function(n: int, t: float) -> float:
     """Value of the L2-normalized Hermite function h_n at t."""
     _check_degree(n)

@@ -64,11 +64,6 @@ class FrameLevel(quadrature.CubatureRule):
     def tile_measures(self) -> np.ndarray:
         return self.axis_product(self.tile_lengths_1d())
 
-    def tile_box(self, flat_index) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned tile (lo, hi) of a flat index; (d, len) for an array."""
-        idx = np.asarray(self.axes(flat_index))
-        return self.interval_bounds[idx], self.interval_bounds[idx + 1]
-
     def cube_bounds(self) -> tuple[float, float]:
         """The cube covered by this level's tiles (one axis)."""
         return float(self.interval_bounds[0]), float(self.interval_bounds[-1])
@@ -274,7 +269,8 @@ def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
 
 
 # Coefficients at most this fraction of their level's largest |s| are left out
-# of the synthesis contraction.
+# of the synthesis contraction; raised to max(1, 1/p), it bounds every Hermite
+# function of the band on the grid cells the L^p norms leave out.
 WINDOW_TAU = 2.0**-70
 
 

@@ -39,6 +39,12 @@ def random_expansion_2d(degree: int, rng) -> HermiteExpansion:
     return HermiteExpansion(2, degree, coeffs)
 
 
+def tile_box(level, flat_index):
+    """Axis-aligned tile (lo, hi) of a flat index; (d, len) for an array."""
+    idx = np.asarray(level.axes(flat_index))
+    return level.interval_bounds[idx], level.interval_bounds[idx + 1]
+
+
 def stored_sizes(obj):
     """(field, number of values) for every field of a dataclass, recursively."""
     for f in dataclasses.fields(obj):

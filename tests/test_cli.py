@@ -11,6 +11,8 @@ import hermite_needlets
 from hermite_needlets import build_frame
 from hermite_needlets.cli import main
 
+from conftest import tile_box
+
 
 def run(args):
     return main(args)
@@ -201,7 +203,7 @@ class TestFrame:
         lines = (tmp_path / "frame_level_0.csv").read_text().splitlines()
         assert len(lines) == level.node_count + 1
         for i, line in enumerate(lines[1:]):
-            lo, hi = level.tile_box(i)
+            lo, hi = tile_box(level, i)
             cells = [str(i)] + [cli._fmt(c) for c in level.nodes[i]]
             cells.append(cli._fmt(level.weights[i]))
             for axis in range(2):

@@ -634,3 +634,131 @@ class TestPowerSum:
             finally:
                 tracemalloc.stop()
             assert extra / n2 < 1.5
+
+
+class TestBandWindow:
+    """Grid norms over the band window against the same norms on the whole grid."""
+
+    ALPHA = 0.5
+
+    @pytest.fixture(scope="class")
+    def cases(self, frame_j4):
+        from conftest import random_expansion_2d
+
+        rng = np.random.default_rng(2107)
+        frame_d2 = nf.build_frame(d=2, j_max=2)
+        # a grid wider than the default, so that the window bites at p < 1 too
+        return {
+            1: (frame_j4, default_grid(frame_j4), random_expansion_1d(40, rng)),
+            2: (frame_d2, GridSpec(20.0, 16), random_expansion_2d(8, rng)),
+        }
+
+    @staticmethod
+    def slack(p, d, n_dropped, vol, weight, terms, full):
+        """Bound on |windowed - full| for ``terms`` grid norms of a combine.
+
+        On a dropped cell every term's function is at most
+        bound = tau_p pi^(-(d-1)/4) ``weight`` (``weight`` sums the terms'
+        l1 coefficient norms times their scale factors), so each term's p-th
+        power sum moves by at most n_dropped * vol * bound^p; each term is at
+        most ``full``.
+        """
+        bound = nf.WINDOW_TAU ** max(1.0, 1.0 / p) * math.pi ** (-(d - 1) / 4) * weight
+        if p == INF:
+            return terms * bound
+        moved = n_dropped * vol * bound**p
+        if p >= 1.0:
+            return terms * moved ** (1.0 / p)
+        return terms * moved * full ** (1.0 - p) / p
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [0.5, 0.75, 1.5, 3.0, INF])
+    def test_matches_the_whole_grid(self, d, p, cases, monkeypatch):
+        frame, grid, f = cases[d]
+        alpha = self.ALPHA
+        axis = grid.axis()
+        window = fs._band_window(axis, f.degree, p)
+        kept = window.stop - window.start
+        assert kept < axis.size
+        n_dropped, vol = axis.size**d - kept**d, grid.step**d
+        l1 = float(np.sum(np.abs(f.array)))
+        filtered = fs._filtered_coeffs(f, frame, None)
+        levels = sum(2.0 ** (alpha * j) * np.sum(np.abs(c)) for j, c in filtered.items())
+        j_cap = max(1, math.ceil(math.log2(max(f.degree, 1)))) + 1
+        # ||f||_p plus the series of best-approximation errors, each tail's l1 <= l1
+        series = l1 * (1.0 + sum(2.0 ** (alpha * j) for j in range(j_cap + 1)))
+        # (name, norm of the grid given, weight, terms)
+        norms = [
+            ("E", lambda g: best_approx_error(f, f.degree // 2, p, g).value, l1, 1),
+        ]
+        for q in (1.0, 2.0, INF):
+            params = SpaceParams(alpha, p, q)
+            norms += [
+                (f"B q={q}", lambda g, s=params: b_continuous_norm(f, s, frame, g),
+                 levels, len(filtered)),
+                (f"A q={q}", lambda g, q=q: approximation_norm(f, alpha, q, p, g),
+                 series, j_cap + 2),
+            ]
+            if p != INF:
+                norms.append(
+                    (f"F q={q}", lambda g, s=params: f_continuous_norm(f, s, frame, g),
+                     levels, 1)
+                )
+        windowed = [norm(grid) for _, norm, _, _ in norms]
+        monkeypatch.setattr(hc, "decay_radius", lambda *args: math.inf)
+        for (name, norm, weight, terms), got in zip(norms, windowed):
+            full = norm(grid)
+            allowed = self.slack(p, d, n_dropped, vol, weight, terms, full)
+            assert abs(got - full) <= allowed + 1e-14 * full, (name, got, full, allowed)
+
+    def test_d2_j4_f_norm_evaluates_the_window_only(self, monkeypatch):
+        # the d = 2, j_max = 4 F-norm of `norms ... --function bump:1.0,0.5
+        # --degree 64 --p 3 --q 2 --kind F`; its whole grid has 5968 cells a side
+        frame = nf.build_frame(d=2, j_max=4)
+        f = fs.project_bump(1.0, 0.5, 2, 64).expansion
+        grid = default_grid(frame)
+        sizes = []
+        values = hc.hermite_values
+
+        def recording(n, points, *rest):
+            sizes.append(np.size(points))
+            return values(n, points, *rest)
+
+        monkeypatch.setattr(hc, "hermite_values", recording)
+        got = f_continuous_norm(f, SpaceParams(0.5, 3.0, 2.0), frame, grid)
+        assert max(sizes) <= 2700 < grid.axis().size
+        assert got == pytest.approx(1.1314020004939283, rel=1e-13)
+
+
+# continuous/sequence ratio windows at p < 1 and q = inf on the d = 1,
+# j_max = 4 frame, frozen like criterion 8's (measured [0.991, 1.005],
+# [0.987, 1.008], [0.994, 1.003], [0.977, 1.017], [0.984, 1.021] and
+# [1.003, 1.049], in that order)
+RATIO_WINDOWS = {
+    ("F", 0.5, 0.5, 2.0): (0.98, 1.02),
+    ("F", 0.5, 0.75, 0.75): (0.98, 1.02),
+    ("F", 1.0, 3.0, INF): (0.98, 1.02),
+    ("B", 0.5, 0.5, 1.0): (0.96, 1.04),
+    ("B", 0.5, 0.75, INF): (0.96, 1.04),
+    ("B", 0.5, INF, 2.0): (0.98, 1.07),
+}
+
+
+@pytest.mark.parametrize("case", list(RATIO_WINDOWS), ids=str)
+def test_continuous_sequence_ratio(case, frame_j4, test_set_v64):
+    kind, alpha, p, q = case
+    lo, hi = RATIO_WINDOWS[case]
+    params, grid = SpaceParams(alpha, p, q), default_grid(frame_j4)
+    ratios = []
+    for f in test_set_v64:
+        s = analyze(f, frame_j4)
+        if kind == "F":
+            ratios.append(
+                f_continuous_norm(f, params, frame_j4, grid)
+                / f_sequence_norm(s, params, frame_j4, grid)
+            )
+        else:
+            ratios.append(
+                b_continuous_norm(f, params, frame_j4, grid) / b_sequence_norm(s, params, frame_j4)
+            )
+    assert lo < min(ratios) and max(ratios) < hi, (min(ratios), max(ratios))

@@ -609,3 +609,82 @@ class TestHermiteValuesOracle:
         want = sum(mp_hermite(k, 38.0) ** 2 for k in range(301))
         got = hc.kernel_diag(300, np.array([38.0]))[0]
         assert relative_error(got, want) <= 1e-12
+
+
+def mp_hermite_row(n, t):
+    """h_0(t)..h_n(t) by the normalized recurrence in 40-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        row = [mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-t * t / 2)]
+        prev = mpmath.mpf(0)
+        for k in range(n):
+            nxt = t * mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * row[-1]
+            nxt -= mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * prev
+            prev = row[-1]
+            row.append(nxt)
+        return row
+
+
+class TestDecayRadius:
+    """The grid norms' band window: where every |h_k|, k <= n, is below tau."""
+
+    # midpoints of a 1/16 grid on [0, 60]
+    POINTS = (np.arange(16 * 60) + 0.5) / 16
+
+    @pytest.mark.parametrize("n", [0, 1, 16, 64, 244, 1024])
+    @pytest.mark.parametrize("bits", [70, 140])
+    def test_edge_against_mpmath(self, n, bits):
+        mpmath = pytest.importorskip("mpmath")
+        log_tau = -bits * math.log(2.0)
+        radius = hc.decay_radius(n, self.POINTS, log_tau)
+        # the ledger's log|h_n| at the edge, as the radius reads it
+        _, p, logscale = hc._scaled_state(n, np.array([radius]))
+        got = math.log(abs(p[0])) + logscale[0]
+        want = float(mpmath.log(abs(mp_hermite(n, radius))))
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert want <= log_tau
+        # the point before the edge is still above tau, or not beyond the turning point
+        before = self.POINTS[np.searchsorted(self.POINTS, radius) - 1]
+        if before > math.sqrt(2 * n + 1):
+            assert float(mpmath.log(abs(mp_hermite(n, before)))) > log_tau
+
+    def test_no_edge_on_a_short_axis(self):
+        log_tau = -70 * math.log(2.0)
+        assert hc.decay_radius(64, self.POINTS[self.POINTS < 15.0], log_tau) == math.inf
+        assert hc.decay_radius(6144, self.POINTS, log_tau) == math.inf
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 244])
+    def test_dominance_beyond_turning_point(self, n):
+        # |h_n| >= |h_k| for k <= n beyond sqrt(2n+1), and |h_n| falls there
+        pytest.importorskip("mpmath")
+        turning = math.sqrt(2 * n + 1)
+        last = None
+        for t in turning + np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]):
+            row = [abs(h) for h in mp_hermite_row(n, t)]
+            assert max(row[:-1]) <= row[-1], (n, t)
+            assert last is None or row[-1] < last, (n, t)
+            last = row[-1]
+
+
+class TestMehlerOracle:
+    """filtered_kernel with weights r^nu against Mehler's closed form."""
+
+    @staticmethod
+    def mehler(r, x, y):
+        # sum_k r^k h_k(x) h_k(y), one axis
+        s = 1.0 - r * r
+        return np.exp(-((1 + r * r) * (x * x + y * y) - 4 * r * x * y) / (2 * s)) / np.sqrt(
+            math.pi * s
+        )
+
+    @pytest.mark.parametrize("dim, npairs", [(1, 50), (2, 30)])
+    @pytest.mark.parametrize("r, degree", [(0.5, 120), (0.9, 400)])
+    def test_closed_form(self, dim, npairs, r, degree):
+        rng = np.random.default_rng([dim, degree])
+        x = rng.uniform(-4.0, 4.0, (npairs, dim))
+        y = rng.uniform(-4.0, 4.0, (npairs, dim))
+        got = hc.filtered_kernel(r ** np.arange(degree + 1.0), x, y, dim)
+        want = np.prod(self.mehler(r, x, y), axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

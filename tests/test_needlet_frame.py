@@ -24,7 +24,7 @@ from hermite_needlets import hermite_core as hc
 from hermite_needlets import needlet_frame as nf
 
 from conftest import random_expansion_1d, random_expansion_2d
-from conftest import stored_sizes
+from conftest import stored_sizes, tile_box
 
 
 class TestLevelConstruction:
@@ -53,9 +53,9 @@ class TestLevelConstruction:
     def test_tile_box_of_rows(self, frame_d2_j3):
         level = frame_d2_j3.levels[1]
         rows = np.arange(level.node_count)
-        lo, hi = level.tile_box(rows)
+        lo, hi = tile_box(level, rows)
         for i in (0, 5, level.node_count - 1):
-            one_lo, one_hi = level.tile_box(i)
+            one_lo, one_hi = tile_box(level, i)
             assert lo[:, i].tolist() == one_lo.tolist()
             assert hi[:, i].tolist() == one_hi.tolist()
 
@@ -87,7 +87,7 @@ class TestLevelConstruction:
     def test_node_inside_its_tile(self, frame_j3):
         level = frame_j3.levels[2]
         for i in (0, 3, 35, 36, 70, 71):
-            lo, hi = level.tile_box(i)
+            lo, hi = tile_box(level, i)
             assert np.all(lo <= level.nodes[i]) and np.all(level.nodes[i] <= hi)
 
     def test_weight_tile_comparability(self, frame_j4):
