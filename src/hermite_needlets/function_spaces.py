@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import hermite_core
+from . import hermite_core, quadrature
 from .errors import (
     DimensionMismatchError,
     IngestionAccuracyError,
@@ -155,13 +155,21 @@ def _expansion_blocks(
     block is an iterator of ``(j, values)`` pairs, computed as it is read,
     so read each block before asking for the next.  The first axis
     contracts with the block's row Hermite matrix, the others with the
-    whole window's.
+    whole window's, each level only over the rows up to its last nonzero
+    index: a level's band ends below the degree.
     """
     axis = axis[_band_window(axis, degree, p)]
     cols = [hermite_core.hermite_values(degree, axis) for _ in range(dim - 1)]
+    trimmed = {}
+    for j, c in filtered.items():
+        top = max(int(i.max()) for i in np.nonzero(c)) + 1
+        trimmed[j] = c[(slice(top),) * dim]
     for rows in _row_slices(axis.size, max(axis.size ** (dim - 1), degree + 1)):
         mats = [hermite_core.hermite_values(degree, axis[rows]), *cols]
-        yield ((j, hermite_core.contract_axes(c, mats)) for j, c in filtered.items())
+        yield (
+            (j, hermite_core.contract_axes(c, [m[: c.shape[0]] for m in mats]))
+            for j, c in trimmed.items()
+        )
 
 
 def _scaled_tiles(values: np.ndarray, level) -> np.ndarray:
@@ -459,23 +467,58 @@ def smooth_bump(width: float = 1.0, center=0.0, dim: int = 1) -> Callable:
     return f
 
 
+# Fewest rule nodes a bump's support must hold on each axis.  Against a
+# 400-point Gauss-Legendre oracle on the support (3000 bumps, degrees 0-64),
+# the coefficients' relative l2 error reached 12 with 1 node inside, 0.96
+# with 2, 0.24 with 3 and 0.026 with 6 or more.
+MIN_BUMP_NODES = 3
+
+
+def _project_bumps(
+    width: float, centers, dim: int, degree: int, quad_order: int | None = None
+) -> list[hermite_core.ProjectionResult]:
+    """``project_function`` of ``smooth_bump(width, c, dim)`` for each c in ``centers``.
+
+    The bumps vanish outside their supports, so each axis evaluates only
+    the nodes of the order-``quad_order`` rule (2*degree + 16 by default)
+    inside the union of the supports' extents on it (``windowed_rule``),
+    and all bumps share one pass over them.  A support that holds fewer
+    than ``MIN_BUMP_NODES`` nodes on an axis raises IngestionAccuracyError.
+    """
+    quad_order = 2 * degree + 16 if quad_order is None else quad_order
+    bumps = [smooth_bump(width, c, dim) for c in centers]  # checks width and centres
+    hermite_core._check_degree(degree)
+    hermite_core._check_quad_order(degree, quad_order)
+    ctrs = [np.broadcast_to(np.asarray(c, dtype=float).ravel(), (dim,)) for c in centers]
+    axes = []
+    for i in range(dim):
+        nodes, lam = quadrature.windowed_rule(
+            quad_order, [(c[i] - width, c[i] + width) for c in ctrs]
+        )
+        for c, center in zip(ctrs, centers):
+            inside = int(np.count_nonzero(np.abs(nodes - c[i]) < width))
+            if inside < MIN_BUMP_NODES:
+                raise IngestionAccuracyError(
+                    f"bump of width {width} at {center} holds {inside} node(s) of "
+                    f"the order-{quad_order} rule on axis {i + 1}, fewer than "
+                    f"{MIN_BUMP_NODES}: too narrow to project"
+                )
+        axes.append((nodes, lam))
+    return hermite_core.project_columns(
+        lambda x: np.stack([b(x) for b in bumps], axis=-1), degree, axes
+    )
+
+
 def project_bump(
     width: float, center, dim: int, degree: int, quad_order: int | None = None
 ) -> hermite_core.ProjectionResult:
-    """``project_function`` of ``smooth_bump(width, center, dim)``.
+    """``project_function`` of ``smooth_bump(width, center, dim)``, on its support.
 
-    The rule order defaults to 2*degree + 16.  A bump that no node reaches
-    projects to zero and raises IngestionAccuracyError.
+    The rule order defaults to 2*degree + 16.  A bump whose support holds
+    fewer than ``MIN_BUMP_NODES`` rule nodes on some axis raises
+    IngestionAccuracyError.
     """
-    quad_order = 2 * degree + 16 if quad_order is None else quad_order
-    bump = smooth_bump(width, center, dim)
-    result = hermite_core.project_function(bump, degree, quad_order, dim)
-    if not np.any(result.expansion.array):
-        raise IngestionAccuracyError(
-            f"bump of width {width} at {center} falls between the nodes of the "
-            f"order-{quad_order} rule and projects to zero"
-        )
-    return result
+    return _project_bumps(width, [center], dim, degree, quad_order)[0]
 
 
 class ShiftRow(NamedTuple):
@@ -502,8 +545,9 @@ def shift_study(
 ) -> list[ShiftRow]:
     """Norms of a shifted bump: rows (y, L2, B-norm, F-norm, tail).
 
-    The bump is ingested by numeric projection at each shift; the shifted
-    copies keep their L2 norm while both Hermite-scale norms grow, which is
+    Every shift is ingested by numeric projection, all in one pass over the
+    rule nodes inside the supports (``_project_bumps``); the shifted copies
+    keep their L2 norm while both Hermite-scale norms grow, which is
     what separates these spaces from shift-invariant ones.  The scale series
     is truncated at the first level whose filter clears the projection
     degree, which may exceed the frame's built depth (filter-only levels).
@@ -531,9 +575,9 @@ def shift_study(
                     f"{grid.radius}"
                 )
     j_top = max(frame.j_max, levels_for_degree(degree))
+    results = _project_bumps(bump_width, shifts, 1, degree) if shifts else []
     rows = []
-    for y in shifts:
-        result = project_bump(bump_width, y, 1, degree)
+    for y, result in zip(shifts, results):
         if result.tail > INGESTION_TAIL_TOL:
             raise IngestionAccuracyError(
                 f"projection tail {result.tail:.2e} at shift {y} exceeds "

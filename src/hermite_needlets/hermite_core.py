@@ -61,7 +61,7 @@ def _test_gap(tmax: float, k: int, power: int) -> int:
     measure in bits; the gap spends at most ``_RESCALE_ROOM`` of them.
     """
     rate = tmax * math.sqrt(2.0 / (k + 2)) + 1.0
-    if not rate > 2.0:  # no points, t = 0 or a NaN t: test every step
+    if not rate > 1.0:  # no points, t = 0 or a NaN t: test every step
         return 1
     return max(1, int(_RESCALE_ROOM / (power * math.log2(rate))))
 
@@ -231,20 +231,25 @@ def weighted_hermite_moments(
 ) -> np.ndarray:
     """Moments sum_i w_i h_k(t_i) for k = 0..max_degree in O(npts) memory.
 
-    The weights are folded together with the running exp ledger, so only
-    rescale events cost an exponential.
+    ``weights`` of shape (npts,) give shape (max_degree+1,); of shape
+    (npts, s), s columns of moments from one recurrence pass.  The weights
+    are folded together with the running exp ledger, so only rescale events
+    cost an exponential.
     """
     _check_degree(max_degree)
     t = np.asarray(points, dtype=float).ravel()
-    w = np.asarray(weights, dtype=float).ravel()
-    if t.size != w.size:
-        raise DimensionMismatchError("points and weights differ in length")
-    w_eff = w * np.exp(-0.5 * t * t)
-    out = np.empty(max_degree + 1)
+    w = np.asarray(weights, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[0] != t.size:
+        raise DimensionMismatchError(
+            f"weights of shape {w.shape} do not match {t.size} points"
+        )
+    col = (slice(None),) + (None,) * (w.ndim - 1)  # a point's scale on its row
+    w_eff = w * np.exp(-0.5 * t * t)[col]
+    out = np.empty((max_degree + 1,) + w.shape[1:])
     for k, (_, p, _, logscale, rescaled) in enumerate(_ledger_steps(max_degree, t)):
         if rescaled is not None:
-            w_eff[rescaled] = w[rescaled] * np.exp(logscale[rescaled])
-        out[k] = np.dot(w_eff, p)
+            w_eff[rescaled] = w[rescaled] * np.exp(logscale[rescaled])[col]
+        out[k] = np.dot(p, w_eff)
     return out
 
 
@@ -495,6 +500,43 @@ class ProjectionResult(NamedTuple):
     tail: float
 
 
+def _check_quad_order(degree: int, quad_order: int) -> None:
+    if quad_order < 2 * degree + 16:
+        raise InsufficientQuadratureError(
+            f"quad_order {quad_order} < 2*{degree} + 16 required for degree {degree}"
+        )
+
+
+def project_columns(f: Callable, degree: int, axes) -> list[ProjectionResult]:
+    """Degree-n projections of s functions sampled on a product of 1-d rules.
+
+    ``axes`` holds one (nodes, Christoffel weights) pair per dimension, the
+    whole rule or the part of it where the functions do not vanish.  ``f``
+    receives the product's points, a (npts,) array for d = 1 or (npts, d)
+    otherwise, and returns their values, shape (npts, s) (one column per
+    function) or (npts,) for one.  At d = 1 all columns share one moment
+    pass.  The tail indicator is max |c_alpha| over |alpha| in
+    {degree-1, degree}.
+    """
+    dim = len(axes)
+    _check_dim(dim)
+    if dim == 1:
+        ((nodes, lam),) = axes
+        fvals = np.asarray(f(nodes), dtype=float).reshape(nodes.size, -1)
+        coeffs = weighted_hermite_moments(degree, nodes, lam[:, None] * fvals).T
+    else:
+        grid = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
+        fvals = np.asarray(f(np.stack(grid, axis=-1).reshape(-1, dim)), dtype=float)
+        fvals = fvals.reshape(grid[0].shape + (-1,))  # the columns last
+        mats = [hermite_values(degree, nodes, lam).T for nodes, lam in axes]
+        coeffs = contract_axes(fvals, mats) * total_degree_weights(np.ones(degree + 1), dim)
+    top = total_degree_weights(np.arange(degree + 1) >= degree - 1, dim) != 0
+    return [
+        ProjectionResult(HermiteExpansion._dense(degree, c), float(np.max(np.abs(c[top]))))
+        for c in np.ascontiguousarray(coeffs)
+    ]
+
+
 def project_function(
     f: Callable, degree: int, quad_order: int, dim: int = 1
 ) -> ProjectionResult:
@@ -507,24 +549,8 @@ def project_function(
     """
     _check_degree(degree)
     _check_dim(dim)
-    if quad_order < 2 * degree + 16:
-        raise InsufficientQuadratureError(
-            f"quad_order {quad_order} < 2*{degree} + 16 required for degree {degree}"
-        )
+    _check_quad_order(degree, quad_order)
     from . import quadrature  # local import; quadrature builds on this module
 
     rule = quadrature.gauss_hermite_rule(quad_order)
-    if dim == 1:
-        fvals = np.asarray(f(rule.nodes), dtype=float)
-        coeff = weighted_hermite_moments(
-            degree, rule.nodes, rule.christoffel_weights * fvals
-        )
-    else:
-        product = quadrature.CubatureRule(dim, rule)
-        fvals = np.asarray(f(product.nodes), dtype=float).reshape(product.shape)
-        hmat = hermite_values(degree, rule.nodes, rule.christoffel_weights)
-        full = contract_axes(fvals, [hmat.T] * dim)
-        coeff = total_degree_weights(np.ones(degree + 1), dim) * full
-    expansion = HermiteExpansion._dense(degree, coeff)
-    top = total_degree_weights(np.arange(degree + 1) >= degree - 1, dim) != 0
-    return ProjectionResult(expansion, float(np.max(np.abs(coeff[top]))))
+    return project_columns(f, degree, [(rule.nodes, rule.christoffel_weights)] * dim)[0]

@@ -717,10 +717,13 @@ class TestFileAndNumberErrorsExit2:
             ["shift-study", "--shifts", "0", "--width", "nan"],
             ["shift-study", "--shifts", "0", "--width", "inf"],
             ["shift-study", "--shifts", "0", "--alpha", "nan"],
-            # a bump no node of the order-48 rule reaches projects to zero
+            # a bump no node of the order-48 rule reaches
             ["decompose", "--function", "bump:0.001"],
             ["norms", "--function", "bump:0.001", "--alpha", "0.5", "--p", "2", "--q", "2",
              "--kind", "F"],
+            # a bump only one node of the order-24 rule reaches, 0.2244
+            ["norms", "--j-max", "2", "--function", "bump:0.2,0.31", "--degree", "4",
+             "--alpha", "0.5", "--p", "2", "--q", "2", "--kind", "B"],
             # a hermite spec of another dimension, before its 2**64-entry array
             ["decompose", "--function", "hermite:" + json.dumps(
                 {"dim": 64, "coeffs": [[[1] + [0] * 63, 1.0]]})],

@@ -27,6 +27,7 @@ from hermite_needlets import (
 from hermite_needlets import function_spaces as fs
 from hermite_needlets import hermite_core as hc
 from hermite_needlets import needlet_frame as nf
+from hermite_needlets import quadrature as quad
 
 from conftest import random_expansion_1d
 
@@ -443,6 +444,50 @@ class TestShiftStudy:
             shift_study(
                 1.0, [8.0], SpaceParams(1.0, 2.0, 2.0), frame_j3, degree=256
             )
+
+    def test_builds_no_full_rule(self, frame_j3, monkeypatch):
+        # the bumps are projected on the nodes inside their supports only
+        orders = []
+        for name in ("_rule_cached", "_zeros_cached"):
+            cached = getattr(quad, name)
+            monkeypatch.setattr(
+                quad, name, lambda n, cached=cached: orders.append(n) or cached(n)
+            )
+        rows = shift_study(1.0, [0.0, 2.0], SpaceParams(1.0, 2.0, 2.0), frame_j3)
+        assert len(rows) == 2 and 12304 not in orders
+
+    def test_batched_shifts_match_single_projections(self):
+        results = fs._project_bumps(1.3, [-0.5, 0.0, 3.0], 1, 2048)
+        for y, got in zip([-0.5, 0.0, 3.0], results):
+            want = fs.project_bump(1.3, y, 1, 2048)
+            top = np.max(np.abs(want.expansion.array))
+            assert np.max(np.abs(got.expansion.array - want.expansion.array)) <= 1e-15 * top
+            assert abs(got.tail - want.tail) <= 1e-15 * top
+
+    @pytest.mark.parametrize(
+        "width, center, dim, degree",
+        [(1.0, 0.3, 1, 4), (0.8, -0.6, 1, 300), (1.0, (0.5, -0.2), 2, 40)],
+    )
+    def test_support_projection_matches_the_whole_rule(self, width, center, dim, degree):
+        got = fs.project_bump(width, center, dim, degree)
+        want = hc.project_function(smooth_bump(width, center, dim), degree,
+                                   2 * degree + 16, dim)
+        top = np.max(np.abs(want.expansion.array))
+        assert np.max(np.abs(got.expansion.array - want.expansion.array)) <= 1e-14 * top
+        assert abs(got.tail - want.tail) <= 1e-14 * top
+
+    @pytest.mark.parametrize(
+        "width, center, dim, inside",
+        # nodes of the order-24 rule (degree 4) near 0: +-0.2244, 0.6742, 1.1268
+        [(0.2, 0.31, 1, 1), (0.3, 0.45, 1, 2), (0.3, (0.45, 0.0), 2, 2)],
+    )
+    def test_bump_reached_by_too_few_nodes_refused(self, width, center, dim, inside):
+        with pytest.raises(IngestionAccuracyError, match=f"width {width} .* {inside} node"):
+            fs.project_bump(width, center, dim, 4)
+
+    def test_bump_reached_by_three_nodes_projects(self):
+        f = fs.project_bump(0.5, 0.674, 1, 4).expansion
+        assert np.all(np.isfinite(f.array)) and f.array[0] > 0.0
 
     def test_small_width_study_monotone(self, frame_j4):
         # width-2 bump needs a quarter of the unit-width degree

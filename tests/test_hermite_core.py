@@ -19,6 +19,7 @@ from hermite_needlets import (
     partial_sum_kernel,
     project_function,
     projector_kernel,
+    smooth_bump,
 )
 from hermite_needlets import hermite_core as hc
 from hermite_needlets import quadrature as quad
@@ -393,6 +394,9 @@ class TestLedgerSchedule:
         assert hc._test_gap(math.nan, 10, 1) == hc._test_gap(math.inf, 10, 1) == 1
         # at the largest zero of the largest rule the tests are sparse
         assert hc._test_gap(200.0, -1, 1) >= 5 and hc._test_gap(200.0, 10000, 2) >= 10
+        # and sparser where a step grows |p| by less than 2 (points near 0
+        # at high degree, as a bump's window of a large rule holds)
+        assert hc._test_gap(5.0, 12000, 1) >= 48 and hc._test_gap(5.0, 12000, 2) >= 24
 
 
 class TestContractAxes:
@@ -552,6 +556,26 @@ class TestProjection:
         dense = hc.hermite_values(40, pts) @ w
         stream = hc.weighted_hermite_moments(40, pts, w)
         assert np.max(np.abs(dense - stream)) < 1e-12
+
+    @pytest.mark.parametrize("degree, n", [(40, 96), (6144, 12304)])
+    def test_moment_columns_match_single_passes(self, degree, n):
+        # weights of shape (npts, s): one column of moments per weight column,
+        # as the shift study's bumps on the nodes of [-1, 9] take them
+        nodes, lam = quad.windowed_rule(n, [(-1.0, 9.0)])
+        centres = [0.0, 2.0, 4.0, 8.0]
+        w = lam[:, None] * np.stack([smooth_bump(1.0, c)(nodes) for c in centres], -1)
+        w[:, 0] += np.random.default_rng(7).standard_normal(nodes.size)
+        both = hc.weighted_hermite_moments(degree, nodes, w)
+        assert both.shape == (degree + 1, len(centres))
+        for k in range(len(centres)):
+            one = hc.weighted_hermite_moments(degree, nodes, w[:, k])
+            assert np.max(np.abs(both[:, k] - one)) <= 1e-15 * np.max(np.abs(one))
+
+    def test_moment_weights_must_match_the_points(self):
+        pts = np.linspace(-1.0, 1.0, 5)
+        for shape in [(4,), (4, 2), (5, 2, 1)]:
+            with pytest.raises(DimensionMismatchError):
+                hc.weighted_hermite_moments(3, pts, np.ones(shape))
 
 
 def mp_hermite(n, t):

@@ -330,3 +330,96 @@ class TestProductLayout:
         rule = product_cubature(40, 2)
         sizes = dict(stored_sizes(rule))
         assert max(sizes.values()) <= rule.base.n + 1, sizes
+
+
+def _edge_count(n: int) -> int:
+    """How many of the largest positive zeros take Gatteschi's guesses."""
+    return min(n // 2, math.ceil(0.5 * n**0.46))
+
+
+class TestWindowedRule:
+    """The rule's nodes and weights in a union of intervals, polished there only."""
+
+    @staticmethod
+    def windows(n):
+        z = gauss_hermite_rule(n).nodes
+        edge = z[-_edge_count(n) - 2]  # two zeros below the Gatteschi zone
+        gap = 0.5 * (z[n // 2] + z[n // 2 + 1])  # between two adjacent zeros
+        return {
+            "straddling 0": [(-1.3, 0.7)],
+            "one-sided": [(0.5, 2.5)],
+            "negative": [(-4.0, -1.0)],
+            "edge": [(edge, z[-1] + 1.0)],
+            "negative edge": [(-z[-1] - 1.0, -edge)],
+            "empty": [(gap - 1e-9, gap + 1e-9)],
+            "union": [(-3.3, -2.9), (-1.0, 1.0), (0.5, 2.0), (edge, math.inf)],
+        }
+
+    @pytest.mark.parametrize("n", [24, 41, 504, 6286, 11992, 12304])
+    def test_matches_the_full_rule(self, n):
+        rule = gauss_hermite_rule(n)
+        cases = self.windows(n)
+        if n > 6000:  # each call costs O(n) steps: one for all nonempty windows
+            union = [iv for name, ivs in cases.items() if name != "empty" for iv in ivs]
+            cases = {"all": union, "empty": cases["empty"]}
+        for name, intervals in cases.items():
+            nodes, weights = quad.windowed_rule(n, intervals)
+            inside = np.zeros(n, dtype=bool)
+            for lo, hi in intervals:
+                inside |= (lo <= rule.nodes) & (rule.nodes <= hi)
+            assert nodes.size == np.count_nonzero(inside), name
+            if name == "empty":
+                assert nodes.size == 0
+            want = rule.nodes[inside]
+            assert np.all(np.abs(nodes - want) <= 1e-14 * np.abs(want)), name
+            want = rule.christoffel_weights[inside]
+            assert np.all(np.abs(weights - want) <= 1e-13 * want), name
+
+    def test_whole_line_is_the_rule(self):
+        rule = gauss_hermite_rule(101)
+        nodes, weights = quad.windowed_rule(101, [(-math.inf, math.inf)])
+        assert bitwise_equal(nodes, rule.nodes)
+        assert bitwise_equal(weights, rule.christoffel_weights)
+
+    def test_polishes_the_window_only(self, monkeypatch):
+        sizes = []
+        polish = quad._newton_polish
+
+        def recording(n, t):
+            sizes.append(t.size)
+            return polish(n, t)
+
+        monkeypatch.setattr(quad, "_newton_polish", recording)
+        nodes, _ = quad.windowed_rule(12304, [(-1.0, 1.0), (7.0, 9.0)])
+        # a zero of margin at each end of each run: above 1 (none below 0)
+        # and at both ends of [7, 9]
+        assert sizes == [np.count_nonzero(nodes > 0) + 3]
+
+    def test_lost_zero_reported(self, monkeypatch):
+        guesses = quad._asymptotic_positive_zeros(40).copy()
+        guesses[3] = guesses[2]
+        monkeypatch.setattr(quad, "_asymptotic_positive_zeros", lambda n: guesses)
+        with pytest.raises(NumericFailureError):
+            quad.windowed_rule(40, [(0.5, 2.0)])
+
+    def test_invalid_order(self):
+        with pytest.raises(InvalidDegreeError):
+            quad.windowed_rule(0, [(-1.0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "n",
+    # the frame orders of levels 0-5 and rule orders across [1000, 20000]
+    [10, 22, 72, 270, 1064, 4238, 1469, 6284, 13264],
+)
+def test_full_rules_bitwise_equal_to_the_whole_line_construction(n):
+    # Newton on every guess, then 1/K_n on the nonnegative half, mirrored:
+    # the construction the windowed builder generalises
+    positive = quad._newton_polish(n, quad._asymptotic_positive_zeros(n))
+    nodes = np.concatenate((-positive[::-1], [0.0] * (n % 2), positive))
+    half = 1.0 / hc.kernel_diag(n, nodes[n // 2 :])
+    weights = np.concatenate((half[::-1][: n // 2], half))
+    rule = gauss_hermite_rule(n)
+    assert bitwise_equal(rule.nodes, nodes)
+    assert bitwise_equal(rule.christoffel_weights, weights)
+    assert bitwise_equal(rule.gauss_weights, weights * np.exp(-nodes * nodes))
