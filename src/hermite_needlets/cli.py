@@ -25,7 +25,7 @@ from . import hermite_core as hc
 from . import needlet_frame as nf
 from . import quadrature as quad
 from . import verification
-from .errors import NeedletError, ParameterError, ResourceError
+from .errors import NeedletError, NumericFailureError, ParameterError, ResourceError
 
 _CSV_CHUNK = 4096  # rows formatted at a time by _table_rows
 
@@ -372,10 +372,10 @@ def cmd_norms(args: argparse.Namespace, cfg: RunConfig) -> int:
         value = fs.b_sequence_norm(nf.analyze(f, frame), params, frame)
     elif kind == "E":
         value = fs.best_approx_error(f, args.approx_n, p, grid).value
-    elif kind == "A":
+    else:  # "A", the last of the --kind choices
         value = fs.approximation_norm(f, alpha, q, p, grid)
-    else:
-        raise ParameterError(f"unknown norm kind {kind!r}")
+    if not math.isfinite(value):
+        raise NumericFailureError(f"the {kind} norm is not finite: it is past the double range")
     row = [args.id, _fmt(alpha), args.p, args.q, kind, _fmt(value)]
     line = ",".join(row)
     if args.out:
@@ -417,6 +417,8 @@ def cmd_shift_study(args: argparse.Namespace, cfg: RunConfig) -> int:
     rows = fs.shift_study(
         width, shifts, params, frame, grid=grid, degree=args.degree
     )
+    if not np.isfinite(rows).all():
+        raise NumericFailureError("a norm is not finite: it is past the double range")
     path = _out_path(cfg, args.out, "shift_study.csv")
     _write_csv(
         path,

@@ -198,30 +198,36 @@ def _tile_blocks(s: NeedletCoefficients, frame: NeedletFrame, axis: np.ndarray):
         )
 
 
+def _pow(base: float, exponent: float) -> float:
+    with np.errstate(over="ignore"):  # inf past the double range, with no warning
+        return float(np.float64(base) ** exponent)
+
+
 def _scale_combine(pairs, alpha: float, q: float):
     """(sum_j (2^(alpha j) |g_j|)^q)^(1/q) over (j, g_j) pairs, sup for q = inf.
 
     Pointwise for arrays; 0.0 when there are no pairs.  An array g_j is
     overwritten by its term, so at most two arrays are held: the sum and
-    one term (which goes before the next g_j is drawn).
+    one term.  Past the double range a value is inf (nan for 0 * inf).
     """
     acc = None
-    for j, g in pairs:
-        out = g if isinstance(g, np.ndarray) else None  # a fresh array: overwrite it
-        term = np.abs(g, out=out)
-        term *= 2.0 ** (alpha * j)
-        if q != INF:
-            term **= q
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, g in pairs:
+            out = g if isinstance(g, np.ndarray) else None  # a fresh array: overwrite it
+            term = np.abs(g, out=out)
+            term *= np.float64(2.0) ** (alpha * j)
+            if q != INF:
+                term **= q
+            if acc is None:
+                acc = term
+            elif q == INF:
+                acc = np.maximum(acc, term, out=out)
+            else:
+                acc += term
+            del g, term, out
         if acc is None:
-            acc = term
-        elif q == INF:
-            acc = np.maximum(acc, term, out=out)
-        else:
-            acc += term
-        del g, term, out
-    if acc is None:
-        return 0.0
-    return acc if q == INF else acc ** (1.0 / q)
+            return 0.0
+        return acc if q == INF else acc ** (1.0 / q)
 
 
 def _power_sum(values: np.ndarray, p: float, axis_weights=None) -> float:
@@ -238,8 +244,8 @@ def _power_sum(values: np.ndarray, p: float, axis_weights=None) -> float:
     """
     mags = np.abs(values)
     top = float(mags.max())
-    if top == 0.0:
-        return 0.0
+    if top == 0.0 or top == INF:
+        return top
     scale = top if p >= 1.0 else 1.0
     mags /= scale
     np.maximum(mags, (top / scale) * 2.0 ** (-1000.0 / p), out=mags)
@@ -248,7 +254,7 @@ def _power_sum(values: np.ndarray, p: float, axis_weights=None) -> float:
         total = mags.sum()
     else:
         total = hermite_core.contract_axes(mags, axis_weights)
-    return float(np.float64(scale) ** p * total)  # inf, not OverflowError, past the range
+    return _pow(scale, p) * float(total)  # inf, not OverflowError, past the range
 
 
 def _lp_norms(blocks, p: float, cell_volume: float) -> dict[int, float]:
@@ -267,7 +273,7 @@ def _lp_norms(blocks, p: float, cell_volume: float) -> dict[int, float]:
                 acc[j] = float(np.maximum(acc[j], np.max(np.abs(values))))
             else:
                 acc[j] += _power_sum(values, p)
-    return {j: t if p == INF else (t * cell_volume) ** (1.0 / p) for j, t in acc.items()}
+    return {j: t if p == INF else _pow(t * cell_volume, 1.0 / p) for j, t in acc.items()}
 
 
 def _combined_lp(blocks, params: SpaceParams, cell_volume: float) -> float:
@@ -368,7 +374,7 @@ def b_sequence_norm(
             level_terms[j] = float(np.max(_scaled_tiles(values, level)))
         else:
             weights = [level.tile_lengths_1d() ** (1.0 - p / 2.0)] * level.d
-            level_terms[j] = _power_sum(values.reshape(level.shape), p, weights) ** (1.0 / p)
+            level_terms[j] = _pow(_power_sum(values.reshape(level.shape), p, weights), 1.0 / p)
     return float(_scale_combine(level_terms.items(), alpha, q))
 
 

@@ -8,9 +8,9 @@ All evaluation goes through the normalized three-term recurrence
 run on the polynomial part with a per-point log-scale ledger, so degrees up
 to ``DEGREE_CAP`` and arguments far outside the oscillatory region do not
 overflow.  One generator, ``_ledger_steps``, owns the recurrence step, the
-rescale test and the ledger; every evaluation here consumes it.  Needlet
-coefficients are per-axis contractions (``contract_axes``) with a Hermite
-matrix whose columns carry sqrt(lambda), the root Christoffel weights.
+rescale test and the ledger; every evaluation here consumes it, and values
+and moments share one finish of it, ``_finished_steps``.  Synthesis and
+projection are the weighted moments of ``product_moments``.
 """
 
 from __future__ import annotations
@@ -125,11 +125,8 @@ def _ledger_steps(n: int, t: np.ndarray, squares: bool = False):
 
 
 def _scaled_state(n: int, t: np.ndarray):
-    """Polynomial parts at degree ``n``: ``(p_prev, p, logscale)``.
-
-    ``h_{n-1} = p_prev*exp(logscale)`` and ``h_n = p*exp(logscale)``;
-    ``p_prev`` is zero for ``n = 0``.
-    """
+    """``(p_prev, p, logscale)`` at degree n: h_{n-1}, h_n = p_prev, p times
+    exp(logscale), with p_prev = 0 at n = 0."""
     for p_prev, p, _, logscale, _ in _ledger_steps(n, np.asarray(t, dtype=float)):
         pass
     return p_prev, p, logscale
@@ -175,54 +172,57 @@ def decay_radius(n: int, points: np.ndarray, log_tau: float) -> float:
     return float(fine[k]) if k < fine.size else math.inf
 
 
+def _finished_steps(n: int, t: np.ndarray, weights: np.ndarray):
+    """Yield reused ``(p, scale)`` arrays for k = 0..n, with w*h_k(t) = p*scale.
+
+    scale = w*exp(logscale), for weights w of shape (npts,) or (npts, s), is
+    recomputed only where the ledger rescaled: the weights take no pass.
+    """
+    col = (slice(None),) + (None,) * (weights.ndim - 1)  # a point's scale on its row
+    scale = np.exp(-0.5 * t * t)[col]
+    # in place for one column: a second array would move the heap's peak
+    scale = np.multiply(scale, weights, out=scale if weights.ndim == 1 else None)
+    for _, p, _, logscale, rescaled in _ledger_steps(n, t):
+        if rescaled is not None:
+            scale[rescaled] = weights[rescaled] * np.exp(logscale[rescaled])[col]
+        yield p, scale
+
+
 def hermite_function(n: int, t: float) -> float:
     """Value of the L2-normalized Hermite function h_n at t."""
-    _check_degree(n)
-    _, p, ls = _scaled_state(n, np.asarray([float(t)]))
-    return float(p[0] * np.exp(ls[0]))
+    return float(hermite_values(n, np.asarray([float(t)]))[n, 0])
 
 
 def hermite_function_derivative(n: int, t: float) -> float:
     """h_n'(t) = -sqrt((n+1)/2) h_{n+1}(t) + sqrt(n/2) h_{n-1}(t)."""
     _check_degree(n)
-    _, deriv, ls = _scaled_derivative(n, np.asarray([float(t)]))
-    return float(deriv[0] * np.exp(ls[0]))
+    return float(hermite_derivative_values(n, np.asarray([float(t)]))[n, 0])
 
 
 def hermite_values(max_degree: int, points: np.ndarray, weights=None) -> np.ndarray:
     """Matrix of w_i*h_k(t_i) for k = 0..max_degree, shape (max_degree+1, npts).
 
-    Each row is the polynomial part times w*exp(logscale), with exp(logscale)
-    recomputed only at points the ledger rescaled: the ``weights`` (w = 1 if
-    omitted) take no pass of their own.  Entries whose true magnitude is below
-    roughly 1e-290 may flush to zero, and so may larger ones, up to about
-    1e-20, where the ledger's exp(logscale) underflows: beyond |t| of about
-    37.6, below the degree where the polynomial part first rescales and in
-    the few degrees before each later rescale is tested.
+    Entries whose true magnitude is below roughly 1e-290 may flush to zero,
+    and so may larger ones, up to about 1e-20, where the ledger's
+    exp(logscale) underflows: beyond |t| of about 37.6, below the degree
+    where the polynomial part first rescales and in the few degrees before
+    each later rescale is tested.
     """
     _check_degree(max_degree)
     t = np.asarray(points, dtype=float).ravel()
+    w = np.ones(t.size) if weights is None else np.asarray(weights, dtype=float)
     out = np.empty((max_degree + 1, t.size))
-    scale = np.exp(-0.5 * t * t)
-    if weights is not None:
-        scale *= weights
-    for k, (_, p, _, logscale, rescaled) in enumerate(_ledger_steps(max_degree, t)):
-        if rescaled is not None:
-            w = 1.0 if weights is None else weights[rescaled]
-            scale[rescaled] = w * np.exp(logscale[rescaled])
+    for k, (p, scale) in enumerate(_finished_steps(max_degree, t, w)):
         np.multiply(p, scale, out=out[k])
     return out
 
 
 def hermite_derivative_values(max_degree: int, points: np.ndarray) -> np.ndarray:
     """Matrix of h_k'(points) for k = 0..max_degree via the ladder identity."""
-    _check_degree(max_degree + 1)
     vals = hermite_values(max_degree + 1, points)
-    out = np.empty((max_degree + 1, vals.shape[1]))
-    for k in range(max_degree + 1):
-        out[k] = -math.sqrt((k + 1) / 2.0) * vals[k + 1]
-        if k >= 1:
-            out[k] += math.sqrt(k / 2.0) * vals[k - 1]
+    k = np.arange(max_degree + 1)[:, None]
+    out = -np.sqrt((k + 1) / 2.0) * vals[1:]
+    out[1:] += np.sqrt(k[1:] / 2.0) * vals[:-2]
     return out
 
 
@@ -232,32 +232,24 @@ def weighted_hermite_moments(
     """Moments sum_i w_i h_k(t_i) for k = 0..max_degree in O(npts) memory.
 
     ``weights`` of shape (npts,) give shape (max_degree+1,); of shape
-    (npts, s), s columns of moments from one recurrence pass.  The weights
-    are folded together with the running exp ledger, so only rescale events
-    cost an exponential.
+    (npts, s), s columns of moments from one recurrence pass.
     """
     _check_degree(max_degree)
     t = np.asarray(points, dtype=float).ravel()
     w = np.asarray(weights, dtype=float)
     if w.ndim not in (1, 2) or w.shape[0] != t.size:
-        raise DimensionMismatchError(
-            f"weights of shape {w.shape} do not match {t.size} points"
-        )
-    col = (slice(None),) + (None,) * (w.ndim - 1)  # a point's scale on its row
-    w_eff = w * np.exp(-0.5 * t * t)[col]
+        raise DimensionMismatchError(f"weights of shape {w.shape} do not match {t.size} points")
     out = np.empty((max_degree + 1,) + w.shape[1:])
-    for k, (_, p, _, logscale, rescaled) in enumerate(_ledger_steps(max_degree, t)):
-        if rescaled is not None:
-            w_eff[rescaled] = w[rescaled] * np.exp(logscale[rescaled])[col]
-        out[k] = np.dot(p, w_eff)
+    for k, (p, scale) in enumerate(_finished_steps(max_degree, t, w)):
+        out[k] = np.dot(p, scale)
     return out
 
 
 def kernel_diag(n: int, points: np.ndarray) -> np.ndarray:
     """Diagonal K_n(t,t) = sum_{k<=n} h_k(t)^2 for d = 1, vectorized in t.
 
-    The running sum shares the recurrence's scale ledger, so it is exact up
-    to roundoff even where individual low-degree terms underflow.
+    The running sum shares the recurrence's scale ledger and is finished in
+    logs where exp(logscale) is subnormal, so no term or sum flushes to zero.
     """
     _check_degree(n)
     t = np.asarray(points, dtype=float).ravel()
@@ -266,7 +258,7 @@ def kernel_diag(n: int, points: np.ndarray) -> np.ndarray:
         acc += sq
         if rescaled is not None:
             acc[rescaled] *= _RESCALE_DOWN
-    return acc * np.exp(logscale)
+    return np.where(logscale < -708.0, np.exp(np.log(acc) + logscale), acc * np.exp(logscale))
 
 
 def _as_point(x, dim: int | None = None) -> np.ndarray:
@@ -391,7 +383,6 @@ def projector_diag(max_degree: int, points: np.ndarray, dim: int = 1) -> np.ndar
 
 def christoffel(n: int, t: float) -> float:
     """Christoffel function 1 / K_n(t,t) on the real line."""
-    _check_degree(n)
     return float(1.0 / kernel_diag(n, np.asarray([float(t)]))[0])
 
 
@@ -507,29 +498,38 @@ def _check_quad_order(degree: int, quad_order: int) -> None:
         )
 
 
+def product_moments(values: np.ndarray, degree: int, axes) -> np.ndarray:
+    """sum_i values * prod_i w h_{alpha_i}(t_i) on a product of 1-d point sets.
+
+    ``axes`` holds one (points, weights) pair per axis; ``values`` has shape
+    (n_1, ..., n_d) plus column axes, which lead the result's (degree+1,)*d.
+    One axis streams through ``weighted_hermite_moments`` (no matrix); more
+    contract with one weighted Hermite matrix per distinct pair.
+    """
+    if len(axes) == 1:
+        ((t, w),) = axes
+        col = (slice(None),) + (None,) * (values.ndim - 1)  # a point's weight on its row
+        return np.moveaxis(weighted_hermite_moments(degree, t, w[col] * values), 0, -1)
+    mats = {id(a): hermite_values(degree, *a).T for a in {id(a): a for a in axes}.values()}
+    return contract_axes(values, [mats[id(a)] for a in axes])
+
+
 def project_columns(f: Callable, degree: int, axes) -> list[ProjectionResult]:
     """Degree-n projections of s functions sampled on a product of 1-d rules.
 
     ``axes`` holds one (nodes, Christoffel weights) pair per dimension, the
     whole rule or the part of it where the functions do not vanish.  ``f``
-    receives the product's points, a (npts,) array for d = 1 or (npts, d)
-    otherwise, and returns their values, shape (npts, s) (one column per
-    function) or (npts,) for one.  At d = 1 all columns share one moment
-    pass.  The tail indicator is max |c_alpha| over |alpha| in
-    {degree-1, degree}.
+    receives the product's points, shape (npts, d), and returns one column
+    of values per function, shape (npts, s), or (npts,) for one.  The tail
+    indicator is max |c_alpha| over |alpha| in {degree-1, degree}.
     """
     dim = len(axes)
     _check_dim(dim)
-    if dim == 1:
-        ((nodes, lam),) = axes
-        fvals = np.asarray(f(nodes), dtype=float).reshape(nodes.size, -1)
-        coeffs = weighted_hermite_moments(degree, nodes, lam[:, None] * fvals).T
-    else:
-        grid = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
-        fvals = np.asarray(f(np.stack(grid, axis=-1).reshape(-1, dim)), dtype=float)
-        fvals = fvals.reshape(grid[0].shape + (-1,))  # the columns last
-        mats = [hermite_values(degree, nodes, lam).T for nodes, lam in axes]
-        coeffs = contract_axes(fvals, mats) * total_degree_weights(np.ones(degree + 1), dim)
+    grid = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
+    fvals = np.asarray(f(np.stack(grid, axis=-1).reshape(-1, dim)), dtype=float)
+    fvals = fvals.reshape(grid[0].shape + (-1,))  # the columns last
+    coeffs = product_moments(fvals, degree, axes)
+    coeffs *= total_degree_weights(np.ones(degree + 1), dim)
     top = total_degree_weights(np.arange(degree + 1) >= degree - 1, dim) != 0
     return [
         ProjectionResult(HermiteExpansion._dense(degree, c), float(np.max(np.abs(c[top]))))
@@ -542,10 +542,10 @@ def project_function(
 ) -> ProjectionResult:
     """Degree-n truncation of f's Hermite expansion by Gauss-Hermite cubature.
 
-    ``f`` receives a (npts,) array for d = 1 or a (npts, d) array otherwise.
-    Requires ``quad_order >= 2*degree + 16`` so coefficients up to ``degree``
-    are trustworthy for smooth, Gaussian-decaying inputs.  The tail indicator
-    is max |c_alpha| over |alpha| in {degree-1, degree}.
+    ``f`` receives points of shape (npts, d).  Requires ``quad_order >=
+    2*degree + 16`` so coefficients up to ``degree`` are trustworthy for
+    smooth, Gaussian-decaying inputs; the tail indicator is max |c_alpha|
+    over |alpha| in {degree-1, degree}.
     """
     _check_degree(degree)
     _check_dim(dim)

@@ -102,9 +102,12 @@ class NeedletFrame:
     d: int
     delta: float
     j_max: int
-    pair: CutoffPair
     levels: tuple[FrameLevel, ...]
     cutoff_kind: str = "quadratic"
+
+    @property
+    def pair(self) -> CutoffPair:
+        return make_pair(self.cutoff_kind)
 
     @property
     def max_node(self) -> float:
@@ -141,11 +144,9 @@ def build_frame(
     """Build levels 0..j_max with the shipped cutoff pair named ``cutoff``."""
     if j_max < 0:
         raise ParameterError(f"j_max must be >= 0, got {j_max}")
-    pair = make_pair(cutoff)
+    make_pair(cutoff)  # rejects an unknown name before any level is built
     levels = tuple(build_level(j, d, delta, node_budget) for j in range(j_max + 1))
-    return NeedletFrame(
-        d=d, delta=delta, j_max=j_max, pair=pair, levels=levels, cutoff_kind=cutoff
-    )
+    return NeedletFrame(d=d, delta=delta, j_max=j_max, levels=levels, cutoff_kind=cutoff)
 
 
 def filter_weights(cutoff: Callable, j: int, max_degree: int) -> np.ndarray:
@@ -311,8 +312,7 @@ def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpan
     lambda**(1/2)-scaled Hermite rows of degree <= hi are orthonormal under
     the level's rule (2*hi < 2*order), so this moves the level's output by at
     most max|b_hat| * WINDOW_TAU * max|s_j| * sqrt(node_count_j) in l2.
-    At d = 1 a level is the weighted moments of its window's nodes, so no
-    Hermite matrix is formed; at d = 2 the matrix is (hi+1) x window.
+    A level is its window's ``product_moments`` (no matrix at d = 1).
     Raises NumericFailureError if a coefficient is not finite.
     """
     _check_frame(coeffs, frame)
@@ -326,18 +326,10 @@ def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpan
         if win.start == win.stop:
             continue
         hi = min(level_band(j)[1], cap)
-        root_weights = np.sqrt(level.rule.christoffel_weights[win])
-        nodes = level.rule.nodes[win]
-        if frame.d == 1:
-            # one axis contracts to moments, streamed over the degrees: no
-            # (hi+1) x window matrix, whose size would follow the window
-            block = hermite_core.weighted_hermite_moments(hi, nodes, root_weights * values[win])
-        else:
-            hmat = hermite_core.hermite_values(hi, nodes, root_weights)
-            block = hermite_core.contract_axes(values[win, win], [hmat.T, hmat.T])
-        acc[(slice(0, hi + 1),) * frame.d] += (
-            level_filter(frame.pair.b_hat, j, hi, frame.d) * block
-        )
+        axis = (level.rule.nodes[win], np.sqrt(level.rule.christoffel_weights[win]))
+        block = hermite_core.product_moments(values[(win,) * frame.d], hi, [axis] * frame.d)
+        band = (slice(0, hi + 1),) * frame.d
+        acc[band] += level_filter(frame.pair.b_hat, j, hi, frame.d) * block
     return HermiteExpansion.from_array(acc)
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -742,6 +743,38 @@ class TestFileAndNumberErrorsExit2:
         argv = NORMS_B[:-1] + ["b", "--alpha", "0.5", "--p", "inf", "--q", "Infinity"]
         assert run(argv) == 0
         assert capsys.readouterr().out.startswith("f0,0.5,inf,Infinity,b,")
+
+
+HUGE = 'hermite:{"coeffs":[[[1],1e200]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "--j-max", "2", "--function", "bump:1.0", "--alpha", "2000", "--p", "2",
+         "--q", "2", "--kind", "b"],
+        ["norms", "--j-max", "2", "--function", "bump:1.0", "--alpha", "2000", "--p", "2",
+         "--q", "2", "--kind", "A"],
+        ["norms", "--j-max", "2", "--function", "bump:1.0", "--alpha", "0.5", "--p", "1e-300",
+         "--q", "2", "--kind", "b"],
+        ["norms", "--j-max", "2", "--function", "bump:1.0", "--alpha", "0.5", "--p", "2",
+         "--q", "1e-300", "--kind", "B"],
+        *(["norms", "--j-max", "2", "--function", HUGE, "--alpha", "0", "--p", "3", "--q", "2",
+           "--kind", kind] for kind in "FfB"),
+        ["shift-study", "--shifts", "0", "--width", "1", "--alpha", "2000"],
+    ],
+    ids=" ".join,
+)
+def test_norm_past_the_double_range_exits_1(tmp_path, monkeypatch, capsys, argv):
+    # a norm outside the double range is an error, not a traceback, nan or inf
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

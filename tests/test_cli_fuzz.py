@@ -61,7 +61,9 @@ FUNCTION = {
     "--quad-order": values(8, 48),
 }
 J_MAX = {"--j-max": values(1, 2)}
-INDICES = {"--alpha": values(0.5, 1), "--p": values(1, 2, 3), "--q": values(1, 2, 3)}
+# 2000 and 1e-300 take some norms past the double range, which exits 1
+INDICES = {"--alpha": values(0.5, 1, 2000, 1e-300), "--p": values(1, 2, 3, 2000, 1e-300),
+           "--q": values(1, 2, 3, 2000, 1e-300)}
 
 # name: (flags always given, flags given when drawn, each with its values)
 COMMANDS = {

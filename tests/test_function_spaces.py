@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,14 @@ class TestParams:
 
 
 class TestSequenceNorms:
+    def test_b_norm_past_the_double_range_is_inf(self, frame_j3):
+        # 2**(2000 j) overflows from level 1 on: inf, with no OverflowError
+        # and no RuntimeWarning
+        s = analyze(HermiteExpansion(1, 4, {(0,): 1.0, (4,): 0.5}), frame_j3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert b_sequence_norm(s, SpaceParams(2000.0, 2.0, 2.0), frame_j3) == INF
+
     def test_single_coefficient_telescopes(self, frame_j3, grid_j3):
         s = nf.NeedletCoefficients(
             frame=frame_j3,

@@ -571,6 +571,29 @@ class TestProjection:
             one = hc.weighted_hermite_moments(degree, nodes, w[:, k])
             assert np.max(np.abs(both[:, k] - one)) <= 1e-15 * np.max(np.abs(one))
 
+    def test_d1_function_receives_points_of_shape_npts_by_1(self):
+        # the projected function gets (npts, d) points at every d
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return np.zeros(len(x))
+
+        project_function(f, 4, 32, dim=1)
+        assert shapes == [(32, 1)]
+
+    @pytest.mark.parametrize("degree", [40, 1024])
+    def test_one_axis_stream_matches_the_matrix_contraction(self, degree):
+        # product_moments streams one axis through weighted_hermite_moments;
+        # the weighted Hermite matrix contraction is the same sum
+        rng = np.random.default_rng(degree)
+        nodes, lam = quad.windowed_rule(2 * degree + 16, [(-3.0, 5.0)])
+        values = rng.standard_normal((nodes.size, 3))
+        stream = hc.product_moments(values, degree, [(nodes, lam)])
+        matrix = hc.contract_axes(values, [hc.hermite_values(degree, nodes, lam).T])
+        assert stream.shape == (3, degree + 1)
+        assert np.max(np.abs(stream - matrix)) <= 1e-15 * np.max(np.abs(matrix))
+
     def test_moment_weights_must_match_the_points(self):
         pts = np.linspace(-1.0, 1.0, 5)
         for shape in [(4,), (4, 2), (5, 2, 1)]:
@@ -627,7 +650,6 @@ class TestHermiteValuesOracle:
         got = hc.hermite_values(n, np.array([t]))[n, 0]
         assert relative_error(got, mp_hermite(n, t)) <= 1e-12
 
-    @UNDERFLOW
     def test_kernel_diag_underflow(self):
         pytest.importorskip("mpmath")
         want = sum(mp_hermite(k, 38.0) ** 2 for k in range(301))

@@ -405,6 +405,21 @@ class TestTransforms:
         assert (analyze_extra - output) / n2 < 0.5
         assert synthesize_extra / n2 < 1.0
 
+    def test_d2_synthesize_forms_one_hermite_matrix_per_level(self, frame_d2_j3, monkeypatch):
+        # both axes of a level share its (nodes, root weights) pair, so the
+        # level's Hermite matrix is evaluated once, not once per axis
+        s = analyze(random_expansion_2d(12, np.random.default_rng(23)), frame_d2_j3)
+        calls = []
+        values = hc.hermite_values
+
+        def counting(*args):
+            calls.append(args[0])
+            return values(*args)
+
+        monkeypatch.setattr(hc, "hermite_values", counting)
+        synthesize(s, frame_d2_j3)
+        assert len(calls) == len(s.level_values)
+
     def test_d1_synthesize_forms_no_hermite_matrix(self, frame_j4):
         # a d = 1 level is streamed as weighted moments over its window, so
         # synthesize never holds the (hi+1) x window Hermite matrix, whose
