@@ -41,7 +41,7 @@ class IngestionAccuracyError(ParameterError):
 
 
 class ResourceError(NeedletError):
-    """Requested construction exceeds the configured node budget."""
+    """Requested construction exceeds the node budget or the grid-size limit."""
 
 
 class NumericFailureError(NeedletError):

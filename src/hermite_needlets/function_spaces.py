@@ -26,6 +26,7 @@ from .errors import (
     IngestionAccuracyError,
     ParameterError,
     ResolutionError,
+    ResourceError,
 )
 from .hermite_core import HermiteExpansion
 from .needlet_frame import (
@@ -67,6 +68,10 @@ class SpaceParams:
             raise ParameterError(f"q must be positive, got {self.q}")
 
 
+# most cells on one grid axis; the largest default axis (d = 1, j_max = 6) holds 94,582
+MAX_AXIS_CELLS = 2**24
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Tensor midpoint grid on [-radius, radius]^d."""
@@ -87,7 +92,10 @@ class GridSpec:
         return 1.0 / self.points_per_unit
 
     def axis(self) -> np.ndarray:
-        n_cells = int(round(2.0 * self.radius * self.points_per_unit))
+        """The cell midpoints of one axis; ResourceError above MAX_AXIS_CELLS."""
+        n_cells = round(2.0 * self.radius * self.points_per_unit)
+        if n_cells > MAX_AXIS_CELLS:
+            raise ResourceError(f"a grid axis of {n_cells:.3g} cells exceeds {MAX_AXIS_CELLS}")
         return -self.radius + (np.arange(n_cells) + 0.5) * self.step
 
 

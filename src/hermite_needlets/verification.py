@@ -4,6 +4,8 @@ Each check re-derives one of the library's structural properties and
 reports a measured quantity next to its frozen tolerance.  Constants
 marked "frozen" were measured once on the shipped construction and are
 asserted for stability, not for agreement with any theoretical value.
+This is the one place each of the paper's claims is computed: the
+acceptance criteria and the norm-ratio tests assert on these results.
 """
 
 from __future__ import annotations
@@ -31,17 +33,51 @@ def _check(suite: str, name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(suite=suite, name=name, passed=bool(passed), detail=detail)
 
 
+def random_expansion_1d(degree: int, rng) -> hc.HermiteExpansion:
+    """Standard normal coefficients for degrees 0..degree."""
+    c = rng.standard_normal(degree + 1)
+    return hc.HermiteExpansion(1, degree, {(k,): c[k] for k in range(degree + 1)})
+
+
+def random_expansion_2d(degree: int, rng) -> hc.HermiteExpansion:
+    """Standard normal coefficients for every total degree up to degree."""
+    idx = [(a1, a2) for a1 in range(degree + 1) for a2 in range(degree + 1 - a1)]
+    return hc.HermiteExpansion(2, degree, {a: rng.standard_normal() for a in idx})
+
+
+TEST_SET_DEGREES = (1, 3, 7, 12, 16, 24, 32, 48, 57, 64)
+
+
+def norm_test_set() -> list[hc.HermiteExpansion]:
+    """The fixed ten-function band-limited test set (degrees up to 64)."""
+    rng = np.random.default_rng(20260809)
+    return [random_expansion_1d(d, rng) for d in TEST_SET_DEGREES]
+
+
 def _test_functions(count: int = 5, degree: int = 16, seed: int = 4057):
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(count):
-        deg = max(1, degree - 3 * i)
-        c = rng.standard_normal(deg + 1)
-        out.append(hc.HermiteExpansion(1, deg, {(k,): c[k] for k in range(deg + 1)}))
-    return out
+    return [random_expansion_1d(max(1, degree - 3 * i), rng) for i in range(count)]
+
+
+def _coeff_error(f: hc.HermiteExpansion, g: hc.HermiteExpansion) -> float:
+    """Largest |coefficient| of g - f, each zero above its degree."""
+    n = max(f.degree, g.degree) + 1
+    dense = [np.pad(h.array, [(0, n - 1 - h.degree)] * h.dim) for h in (f, g)]
+    return float(np.max(np.abs(dense[1] - dense[0])))
 
 
 # ---------------------------------------------------------------- quadrature
+
+
+def interlacing(n_max: int) -> CheckResult:
+    """The zeros of h_n and h_{n+1} strictly interlace for every n <= n_max."""
+    ok = True
+    for n in range(1, n_max + 1):
+        a, b = quad.hermite_zeros(n), quad.hermite_zeros(n + 1)
+        if not np.all((a > b[:-1]) & (a < b[1:])):
+            ok = False
+            break
+    return _check("quadrature", f"interlacing-n<={n_max}", ok, "strict interlacing")
 
 
 def suite_quadrature() -> list[CheckResult]:
@@ -88,16 +124,10 @@ def suite_quadrature() -> list[CheckResult]:
         _check("quadrature", "weights-identities", worst < 1e-12, f"max dev {worst:.2e}")
     )
 
-    ok = True
-    for n in range(1, 65):
-        a, b = quad.hermite_zeros(n), quad.hermite_zeros(n + 1)
-        if not np.all((a > b[:-1]) & (a < b[1:])):
-            ok = False
-            break
-    res.append(_check("quadrature", "interlacing-n<=64", ok, "strict interlacing"))
+    res.append(interlacing(64))
 
     stats = []
-    for n in (64, 256):
+    for n in (64, 256, 1024):
         z = quad.hermite_zeros(n)
         centers = np.arange(1, n - 1)
         signed = centers - (n - 1) / 2.0
@@ -251,7 +281,7 @@ def suite_kernels() -> list[CheckResult]:
 
     ratios = []
     for n in (16, 64, 256):
-        xs = np.linspace(0.0, 0.9 * math.sqrt(2.0 * n), 50)
+        xs = np.linspace(0.0, 0.9 * math.sqrt(2.0 * n), 80)
         lam = 1.0 / hc.kernel_diag(n, xs)
         model = n**-0.5 * np.maximum(
             n ** (-2.0 / 3.0), 1.0 - np.abs(xs) / math.sqrt(2.0 * n)
@@ -313,14 +343,22 @@ def suite_frame() -> list[CheckResult]:
         _check("frame", "level-sizes", got == [5, 11, 36, 135], f"N_j = {got}")
     )
 
-    frame = nf.build_frame(d=1, delta=0.025, j_max=3, cutoff="quadratic")
+    frame = nf.build_frame(d=1, delta=0.025, j_max=4, cutoff="quadratic")
+    frame2 = nf.build_frame(d=2, delta=0.025, j_max=3, cutoff="quadratic")
     lev = frame.levels[1]
     hmat = hc.hermite_values(10, lev.rule.nodes)
     gram = (hmat * lev.rule.christoffel_weights) @ hmat.T
     dev = float(np.max(np.abs(gram - np.eye(11))))
-    res.append(
-        _check("frame", "level1-cubature-exactness", dev < 1e-9, f"max dev {dev:.2e}")
+    # d = 2: level 0 is exact for total degree <= 4; the basis is raveled
+    # row-major, matching the level's node order
+    h = hc.hermite_values(4, frame2.levels[0].rule.nodes)
+    basis = np.stack(
+        [np.outer(h[a1], h[a2]).ravel() for a1 in range(5) for a2 in range(5 - a1)]
     )
+    gram = (basis * frame2.levels[0].weights) @ basis.T
+    dev2 = float(np.max(np.abs(gram - np.eye(len(basis)))))
+    detail = f"d=1 level 1 dev {dev:.2e}, d=2 level 0 dev {dev2:.2e}"
+    res.append(_check("frame", "cubature-exactness", dev < 1e-9 and dev2 < 1e-9, detail))
 
     worst = 0.0
     comp = []
@@ -347,27 +385,23 @@ def suite_frame() -> list[CheckResult]:
         )
     )
 
-    rng = np.random.default_rng(99)
+    rng = np.random.default_rng(33)
     worst = 0.0
     pworst = 0.0
-    for _ in range(5):
-        c = rng.standard_normal(17)
-        f = hc.HermiteExpansion(1, 16, {(k,): c[k] for k in range(17)})
+    for _ in range(20):
+        f = random_expansion_1d(16, rng)
         s = nf.analyze(f, frame)
-        g = nf.synthesize(s, frame)
-        arr = np.zeros(17)
-        for (k,), v in g.coeffs.items():
-            if k <= 16:
-                arr[k] = v
-            else:
-                worst = max(worst, abs(v))
-        worst = max(worst, float(np.max(np.abs(arr - c))))
+        worst = max(worst, _coeff_error(f, nf.synthesize(s, frame)))
         pworst = max(
             pworst, abs(s.sum_squares() - f.l2_norm() ** 2) / f.l2_norm() ** 2
         )
-    res.append(
-        _check("frame", "reconstruction-V16", worst < 1e-10, f"max coeff err {worst:.2e}")
-    )
+    rng = np.random.default_rng(44)
+    f = random_expansion_1d(64, rng)
+    worst = max(worst, _coeff_error(f, nf.synthesize(nf.analyze(f, frame), frame)))
+    f = random_expansion_2d(16, rng)
+    dev2 = _coeff_error(f, nf.synthesize(nf.analyze(f, frame2), frame2))
+    detail = f"max coeff err d=1 V16 x20 and V64 {worst:.2e}, d=2 V16 {dev2:.2e}"
+    res.append(_check("frame", "reconstruction", worst < 1e-10 and dev2 < 1e-10, detail))
     res.append(
         _check("frame", "tight-frame-parseval", pworst < 1e-9, f"rel dev {pworst:.2e}")
     )
@@ -393,8 +427,60 @@ def suite_frame() -> list[CheckResult]:
 # -------------------------------------------------------------------- spaces
 
 
+# frozen continuous/sequence ratio windows, (kind, alpha, p, q): (lo, hi),
+# measured on the test set and the d = 1, j_max = 4 quadratic frame (the
+# p = q = 2 rows are exact identities up to roundoff)
+NORM_WINDOWS = {
+    ("F", 0.0, 2.0, 2.0): (0.95, 1.05),
+    ("F", 1.0, 2.0, 2.0): (0.95, 1.05),
+    ("F", 0.5, 3.0, 2.0): (0.80, 1.25),
+    ("F", 0.5, 0.5, 2.0): (0.98, 1.02),
+    ("F", 0.5, 0.75, 0.75): (0.98, 1.02),
+    ("F", 1.0, 3.0, math.inf): (0.98, 1.02),
+    ("B", 0.0, 2.0, 2.0): (0.95, 1.05),
+    ("B", 1.0, 2.0, 1.0): (0.95, 1.05),
+    ("B", 0.5, 1.0, 1.0): (0.80, 1.25),
+    ("B", 0.5, 0.5, 1.0): (0.96, 1.04),
+    ("B", 0.5, 0.75, math.inf): (0.96, 1.04),
+    ("B", 0.5, math.inf, 2.0): (0.98, 1.07),
+}
+
+
+def norm_check_name(kind: str, alpha: float, p: float, q: float) -> str:
+    """The ``spaces`` check of one row of NORM_WINDOWS."""
+    return f"{kind}-equivalence-a{alpha:g}-p{p:g}-q{q:g}"
+
+
 def suite_spaces() -> list[CheckResult]:
     res = []
+    frame = nf.build_frame(d=1, delta=0.025, j_max=4, cutoff="quadratic")
+    grid = fs.default_grid(frame)
+    fset = norm_test_set()
+    coeffs = [nf.analyze(f, frame) for f in fset]
+    for (kind, alpha, p, q), (lo, hi) in NORM_WINDOWS.items():
+        pr = fs.SpaceParams(alpha, p, q)
+        rs = [
+            fs.f_continuous_norm(f, pr, frame, grid) / fs.f_sequence_norm(s, pr, frame, grid)
+            if kind == "F"
+            else fs.b_continuous_norm(f, pr, frame, grid) / fs.b_sequence_norm(s, pr, frame)
+            for f, s in zip(fset, coeffs)
+        ]
+        detail = f"ratios in [{min(rs):.3f}, {max(rs):.3f}], frozen ({lo:g}, {hi:g})"
+        res.append(_check("spaces", norm_check_name(kind, alpha, p, q),
+                          lo < min(rs) and max(rs) < hi, detail))
+
+    fine = fs.GridSpec(grid.radius, 512)
+    worst = 0.0
+    for s in coeffs:
+        for alpha in (0.0, 0.5, 1.0):
+            pr = fs.SpaceParams(alpha, 2.0, 2.0)
+            a = fs.f_sequence_norm(s, pr, frame, fine, method="closed")
+            b = fs.f_sequence_norm(s, pr, frame, fine, method="grid")
+            worst = max(worst, abs(a - b) / a)
+    res.append(
+        _check("spaces", "closed-vs-grid", worst < 1e-3, f"max rel dev {worst:.2e}")
+    )
+
     frames = {
         kind: nf.build_frame(d=1, delta=0.025, j_max=3, cutoff=kind)
         for kind in ("quadratic", "dual")
@@ -404,43 +490,6 @@ def suite_spaces() -> list[CheckResult]:
     coeffs = {
         kind: [nf.analyze(f, fr) for f in fset] for kind, fr in frames.items()
     }
-
-    spread = 0.0
-    for alpha, p, q in ((0.0, 2.0, 2.0), (1.0, 2.0, 2.0), (0.5, 3.0, 2.0)):
-        pr = fs.SpaceParams(alpha, p, q)
-        rs = [
-            fs.f_continuous_norm(f, pr, frames["quadratic"], grid)
-            / fs.f_sequence_norm(s, pr, frames["quadratic"], grid)
-            for f, s in zip(fset, coeffs["quadratic"])
-        ]
-        spread = max(spread, max(rs), 1.0 / min(rs))
-    res.append(
-        _check(
-            "spaces",
-            "f-equivalence-stability",
-            spread < 2.0,  # frozen
-            f"ratio envelope {spread:.4f}, frozen 2.0",
-        )
-    )
-
-    spread = 0.0
-    for alpha, p, q in ((0.0, 2.0, 2.0), (1.0, 2.0, 1.0), (0.5, 1.0, 1.0)):
-        pr = fs.SpaceParams(alpha, p, q)
-        rs = [
-            fs.b_continuous_norm(f, pr, frames["quadratic"], grid)
-            / fs.b_sequence_norm(s, pr, frames["quadratic"])
-            for f, s in zip(fset, coeffs["quadratic"])
-        ]
-        spread = max(spread, max(rs), 1.0 / min(rs))
-    res.append(
-        _check(
-            "spaces",
-            "b-equivalence-stability",
-            spread < 2.0,  # frozen
-            f"ratio envelope {spread:.4f}, frozen 2.0",
-        )
-    )
-
     pr = fs.SpaceParams(0.5, 2.0, 2.0)
     rs = [
         fs.f_sequence_norm(sq, pr, frames["quadratic"], grid)
@@ -455,16 +504,6 @@ def suite_spaces() -> list[CheckResult]:
             0.5 < lo and hi < 2.0,  # frozen
             f"cross-cutoff ratios in [{lo:.4f}, {hi:.4f}], frozen (0.5, 2)",
         )
-    )
-
-    fine = fs.GridSpec(grid.radius, 512)
-    worst = 0.0
-    for s in coeffs["quadratic"]:
-        a = fs.f_sequence_norm(s, pr, frames["quadratic"], fine, method="closed")
-        b = fs.f_sequence_norm(s, pr, frames["quadratic"], fine, method="grid")
-        worst = max(worst, abs(a - b) / a)
-    res.append(
-        _check("spaces", "closed-vs-grid", worst < 1e-3, f"max rel dev {worst:.2e}")
     )
 
     f = fset[0]

@@ -1,9 +1,12 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
-from hermite_needlets import HermiteExpansion, build_frame
+from hermite_needlets import build_frame, verification
+# the test modules import the generators from here
+from hermite_needlets.verification import random_expansion_1d, random_expansion_2d  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -26,19 +29,6 @@ def frame_d2_j3():
     return build_frame(d=2, delta=0.025, j_max=3, cutoff="quadratic")
 
 
-def random_expansion_1d(degree: int, rng) -> HermiteExpansion:
-    c = rng.standard_normal(degree + 1)
-    return HermiteExpansion(1, degree, {(k,): c[k] for k in range(degree + 1)})
-
-
-def random_expansion_2d(degree: int, rng) -> HermiteExpansion:
-    coeffs = {}
-    for a1 in range(degree + 1):
-        for a2 in range(degree + 1 - a1):
-            coeffs[(a1, a2)] = rng.standard_normal()
-    return HermiteExpansion(2, degree, coeffs)
-
-
 def tile_box(level, flat_index):
     """Axis-aligned tile (lo, hi) of a flat index; (d, len) for an array."""
     idx = np.asarray(level.axes(flat_index))
@@ -55,11 +45,30 @@ def stored_sizes(obj):
             yield f.name, np.size(value)
 
 
-TEST_SET_DEGREES = [1, 3, 7, 12, 16, 24, 32, 48, 57, 64]
-
-
 @pytest.fixture(scope="session")
 def test_set_v64():
     """The fixed ten-function band-limited test set (degrees up to 64)."""
-    rng = np.random.default_rng(20260809)
-    return [random_expansion_1d(d, rng) for d in TEST_SET_DEGREES]
+    return verification.norm_test_set()
+
+
+@dataclasses.dataclass(frozen=True)
+class Catalogue:
+    """Every ``verify`` check, in run order, and each suite's wall seconds."""
+
+    results: list
+    seconds: dict
+
+    def __getitem__(self, key: str) -> verification.CheckResult:
+        """The check named ``suite/name``."""
+        return {f"{r.suite}/{r.name}": r for r in self.results}[key]
+
+
+@pytest.fixture(scope="session")
+def catalogue():
+    """The ``verify`` catalogue, computed once for the session."""
+    results, seconds = [], {}
+    for suite in verification.SUITES:
+        t0 = time.monotonic()
+        results += verification.run_suites([suite])
+        seconds[suite] = time.monotonic() - t0
+    return Catalogue(results, seconds)

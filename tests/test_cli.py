@@ -778,6 +778,18 @@ def test_norm_past_the_double_range_exits_1(tmp_path, monkeypatch, capsys, argv)
 
 
 @pytest.mark.parametrize(
+    "flag", [["--grid-radius", "1e300"], ["--points-per-unit", "1000000000000"]]
+)
+def test_huge_grid_exits_3_before_allocating(capsys, flag):
+    argv = ["norms", "--j-max", "2", "--function", "bump:1.0", "--alpha", "0.5", "--p", "3",
+            "--q", "2", *flag, "--kind"]
+    assert run(argv + ["F"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: ") and err.count("\n") == 1, err
+    assert run(argv + ["b"]) == 0  # the sequence norm reads no grid
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["rule", "--n", "5", "--j-max", "3"],
