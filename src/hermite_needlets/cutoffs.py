@@ -48,14 +48,8 @@ def ramp(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothCutoff:
-    """A smooth cutoff on [0, inf).
+    """A smooth cutoff on [0, inf), callable on scalars and arrays."""
 
-    kind: 'type_a' (plateau at the origin), 'type_b' (bump away from 0),
-    'quadratic' (tight-frame bump with a^2(t) + a^2(4t) = 1 on [1/4, 1]),
-    or 'dual' (the type-b bump's companion in the shipped 'dual' pair).
-    """
-
-    kind: str
     func: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, t):
@@ -77,7 +71,7 @@ def make_type_a(v: float) -> SmoothCutoff:
         out[mid] = 1.0 - ramp((t[mid] - 1.0) / v)
         return out
 
-    return SmoothCutoff(kind="type_a", func=func)
+    return SmoothCutoff(func)
 
 
 def make_type_b() -> SmoothCutoff:
@@ -94,7 +88,7 @@ def make_type_b() -> SmoothCutoff:
         out[fall] = 1.0 - ramp((t[fall] - hi) / (_SUPPORT_HI - hi))
         return out
 
-    return SmoothCutoff(kind="type_b", func=func)
+    return SmoothCutoff(func)
 
 
 def make_quadratic_cutoff() -> SmoothCutoff:
@@ -117,7 +111,7 @@ def make_quadratic_cutoff() -> SmoothCutoff:
         out[upper] = np.cos(0.5 * math.pi * theta(t[upper] / 4.0))
         return out
 
-    return SmoothCutoff(kind="quadratic", func=func)
+    return SmoothCutoff(func)
 
 
 @dataclass(frozen=True)
@@ -145,7 +139,7 @@ def _dual_pair(a_hat: SmoothCutoff) -> CutoffPair:
         out[live] = av[live] / denom
         return out
 
-    return CutoffPair(a_hat=a_hat, b_hat=SmoothCutoff(kind="dual", func=b_func))
+    return CutoffPair(a_hat=a_hat, b_hat=SmoothCutoff(b_func))
 
 
 _QUADRATIC = make_quadratic_cutoff()

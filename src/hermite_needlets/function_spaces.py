@@ -149,24 +149,21 @@ def _band_window(axis: np.ndarray, degree: int, p: float) -> slice:
 
 
 def _expansion_blocks(
-    filtered: dict[int, np.ndarray],
-    dim: int,
-    degree: int,
-    axis: np.ndarray,
-    p: float = INF,
+    filtered: dict[int, np.ndarray], degree: int, axis: np.ndarray, p: float
 ):
     """Yield every level's values on the next block of the band window's rows.
 
-    Only the ``_band_window(axis, degree, p)`` cells of every axis are
-    evaluated (p = inf's window if p is not given): the same cells and cell
-    volume, less the ones where no value reaches the window's bound.  A
-    block is an iterator of ``(j, values)`` pairs, computed as it is read,
-    so read each block before asking for the next.  The first axis
-    contracts with the block's row Hermite matrix, the others with the
-    whole window's, each level only over the rows up to its last nonzero
-    index: a level's band ends below the degree.
+    ``filtered`` maps levels to nonzero arrays of one shape.  Only the
+    ``_band_window(axis, degree, p)`` cells of every axis are evaluated:
+    the same cells and cell volume, less the ones where no value reaches
+    the window's bound.  A block is an iterator of ``(j, values)`` pairs,
+    computed as it is read, so read each block before asking for the next.
+    The first axis contracts with the block's row Hermite matrix, the
+    others with the whole window's, each level only over the rows up to
+    its last nonzero index: a level's band ends below the degree.
     """
     axis = axis[_band_window(axis, degree, p)]
+    dim = next(iter(filtered.values())).ndim
     cols = [hermite_core.hermite_values(degree, axis) for _ in range(dim - 1)]
     trimmed = {}
     for j, c in filtered.items():
@@ -290,29 +287,50 @@ def _combined_lp(blocks, params: SpaceParams, cell_volume: float) -> float:
     return _lp_norms(combined, params.p, cell_volume)[0]
 
 
+def _level_lp_norms(arrays: dict, degree: int, p: float, grid: GridSpec | None) -> dict:
+    """L^p norms of the expansions of same-shape coefficient arrays, by key.
+
+    Parseval at p = 2, else one ``_expansion_blocks`` pass for all arrays;
+    an all-zero array has norm 0 and is not evaluated.
+    """
+    if p == 2.0:
+        return {k: math.sqrt(float(np.sum(c * c))) for k, c in arrays.items()}
+    live = {k: c for k, c in arrays.items() if np.any(c)}
+    norms = {}
+    if live:
+        if grid is None:
+            raise ResolutionError("L^p evaluation with p != 2 needs a grid")
+        dim = next(iter(live.values())).ndim
+        blocks = _expansion_blocks(live, degree, grid.axis(), p)
+        norms = _lp_norms(blocks, p, grid.step**dim)
+    return {k: norms.get(k, 0.0) for k in arrays}
+
+
 def f_continuous_norm(
     f: HermiteExpansion,
     params: SpaceParams,
     frame: NeedletFrame,
     grid: GridSpec | None = None,
-    j_levels: int | None = None,
 ) -> float:
     """Mixed space-then-scale norm of a band-limited function.
 
     At p = q it is the B norm (Fubini), exact at p = 2; other indices use
-    the tensor grid.  ``j_levels`` may deepen the scale series beyond the
-    frame's built levels (the extra levels are filter-only).
+    the tensor grid.
     """
+    return _f_norm(_filtered_coeffs(f, frame, None), f.degree, params, frame, grid)
+
+
+def _f_norm(filtered, degree, params, frame, grid) -> float:
+    """``f_continuous_norm`` of the levels ``_filtered_coeffs`` returned."""
     if params.p == INF:
         raise ParameterError("the F-scale is defined for p < infinity only")
     if params.p == params.q:
-        return b_continuous_norm(f, params, frame, grid, j_levels)
-    filtered = _filtered_coeffs(f, frame, j_levels)
+        return _b_norm(filtered, degree, params, frame, grid)
     if not filtered:
         return 0.0
     _validate_grid(grid, frame)
-    blocks = _expansion_blocks(filtered, f.dim, f.degree, grid.axis(), params.p)
-    return _combined_lp(blocks, params, grid.step**f.dim)
+    blocks = _expansion_blocks(filtered, degree, grid.axis(), params.p)
+    return _combined_lp(blocks, params, grid.step**frame.d)
 
 
 def b_continuous_norm(
@@ -320,20 +338,16 @@ def b_continuous_norm(
     params: SpaceParams,
     frame: NeedletFrame,
     grid: GridSpec | None = None,
-    j_levels: int | None = None,
 ) -> float:
     """Scale-then-space norm: l^q over levels of 2^(alpha j) ||g_j||_p."""
-    filtered = _filtered_coeffs(f, frame, j_levels)
-    if not filtered:
-        return 0.0
-    if params.p == 2.0:
-        level_norms = {
-            j: math.sqrt(float(np.sum(c * c))) for j, c in filtered.items()
-        }
-    else:
+    return _b_norm(_filtered_coeffs(f, frame, None), f.degree, params, frame, grid)
+
+
+def _b_norm(filtered, degree, params, frame, grid) -> float:
+    """``b_continuous_norm`` of the levels ``_filtered_coeffs`` returned."""
+    if filtered and params.p != 2.0:
         _validate_grid(grid, frame)
-        blocks = _expansion_blocks(filtered, f.dim, f.degree, grid.axis(), params.p)
-        level_norms = _lp_norms(blocks, params.p, grid.step**f.dim)
+    level_norms = _level_lp_norms(filtered, degree, params.p, grid)
     return float(_scale_combine(level_norms.items(), params.alpha, params.q))
 
 
@@ -386,22 +400,17 @@ def b_sequence_norm(
     return float(_scale_combine(level_terms.items(), alpha, q))
 
 
-def _lp_norm_expansion(
-    f: HermiteExpansion, p: float, grid: GridSpec | None
-) -> float:
-    if p == 2.0:
-        return f.l2_norm()
-    if grid is None:
-        raise ResolutionError("L^p evaluation with p != 2 needs a grid")
-    blocks = _expansion_blocks({0: f.array}, f.dim, f.degree, grid.axis(), p)
-    return _lp_norms(blocks, p, grid.step**f.dim)[0]
-
-
 class BestApprox(NamedTuple):
-    """Best-approximation error; ``exact`` is False for the p != 2 bound."""
+    """Best-approximation error; ``exact`` is False for a nonzero p != 2 bound."""
 
     value: float
     exact: bool
+
+
+def _tail(f: HermiteExpansion, n: int) -> np.ndarray:
+    """The coefficient array of f with every term of total degree <= n zeroed."""
+    above = np.arange(f.degree + 1) > n
+    return hermite_core.total_degree_weights(above, f.dim) * f.array
 
 
 def best_approx_error(
@@ -414,14 +423,8 @@ def best_approx_error(
     """
     if n < 0:
         raise ParameterError(f"approximation degree must be >= 0, got {n}")
-    above = np.arange(f.degree + 1) > n
-    tail = hermite_core.total_degree_weights(above, f.dim) * f.array
-    if not np.any(tail):
-        return BestApprox(0.0, True)
-    if p == 2.0:
-        return BestApprox(float(np.linalg.norm(tail)), True)
-    tail_f = HermiteExpansion.from_array(tail)
-    return BestApprox(_lp_norm_expansion(tail_f, p, grid), False)
+    value = _level_lp_norms({0: _tail(f, n)}, f.degree, p, grid)[0]
+    return BestApprox(value, p == 2.0 or value == 0.0)
 
 
 def approximation_norm(
@@ -434,13 +437,14 @@ def approximation_norm(
     """||f||_p plus the l^q sum of 2^(alpha j) E_{2^j}(f)_p.
 
     The series is finite: terms vanish once 2^j reaches the degree, so its
-    cap truncates nothing.
+    cap truncates nothing.  f and its tails share one grid pass.
     """
     SpaceParams(alpha, p, q)  # rejects a non-finite alpha and p or q <= 0
     j_cap = max(1, math.ceil(math.log2(max(f.degree, 1)))) + 1
-    errors = [best_approx_error(f, 2**j, p, grid).value for j in range(j_cap + 1)]
-    series = _scale_combine(enumerate(errors), alpha, q)
-    return _lp_norm_expansion(f, p, grid) + float(series)
+    tails = {j: _tail(f, 2**j) for j in range(j_cap + 1)}
+    norms = _level_lp_norms({**tails, "f": f.array}, f.degree, p, grid)
+    series = _scale_combine(((j, norms[j]) for j in tails), alpha, q)
+    return norms["f"] + float(series)
 
 
 def nikolskii_ratio(
@@ -449,8 +453,8 @@ def nikolskii_ratio(
     """||g||_p divided by n^((d/2)|1/q - 1/p|) ||g||_q for band-limited g."""
     if not np.any(g.array):
         raise ParameterError("the zero function has no norm ratio")
-    num = _lp_norm_expansion(g, p, grid)
-    den = _lp_norm_expansion(g, q, grid)
+    num = _level_lp_norms({0: g.array}, g.degree, p, grid)[0]
+    den = _level_lp_norms({0: g.array}, g.degree, q, grid)[0]
     n = max(g.degree, 1)
     inv_p = 0.0 if p == INF else 1.0 / p
     inv_q = 0.0 if q == INF else 1.0 / q
@@ -598,12 +602,13 @@ def shift_study(
                 f"{INGESTION_TAIL_TOL}; shift too large for degree {degree}"
             )
         fy = result.expansion
+        filtered = _filtered_coeffs(fy, frame, j_top)
         rows.append(
             ShiftRow(
                 y=float(y),
                 l2=fy.l2_norm(),
-                b_norm=b_continuous_norm(fy, params, frame, grid, j_levels=j_top),
-                f_norm=f_continuous_norm(fy, params, frame, grid, j_levels=j_top),
+                b_norm=_b_norm(filtered, fy.degree, params, frame, grid),
+                f_norm=_f_norm(filtered, fy.degree, params, frame, grid),
                 tail=result.tail,
             )
         )

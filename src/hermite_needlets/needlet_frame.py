@@ -212,12 +212,6 @@ class NeedletCoefficients:
     def sum_squares(self) -> float:
         return float(sum(np.dot(a, a) for a in self.level_values.values()))
 
-    def scaled(self, factor: float) -> "NeedletCoefficients":
-        return NeedletCoefficients(
-            frame=self.frame,
-            level_values={j: factor * a for j, a in self.level_values.items()},
-        )
-
 
 def _check_frame(coeffs: NeedletCoefficients, frame: NeedletFrame) -> None:
     """Raise FrameMismatchError unless ``coeffs`` were taken on ``frame``."""

@@ -54,9 +54,9 @@ def norm_test_set() -> list[hc.HermiteExpansion]:
     return [random_expansion_1d(d, rng) for d in TEST_SET_DEGREES]
 
 
-def _test_functions(count: int = 5, degree: int = 16, seed: int = 4057):
-    rng = np.random.default_rng(seed)
-    return [random_expansion_1d(max(1, degree - 3 * i), rng) for i in range(count)]
+def _test_functions():
+    rng = np.random.default_rng(4057)
+    return [random_expansion_1d(16 - 3 * i, rng) for i in range(5)]
 
 
 def _coeff_error(f: hc.HermiteExpansion, g: hc.HermiteExpansion) -> float:

@@ -472,6 +472,16 @@ class TestNorms:
         assert lines[0] == "function_id,alpha,p,q,norm_kind,value"
         assert lines[1].startswith("probe,0.5,2,1,b,")
 
+    @pytest.mark.parametrize("coeffs", ["[[[0],0.0]]", "[]"])
+    def test_zero_function_a_norm(self, capsys, coeffs):
+        # every tail of the zero function is zero, and so is its A norm
+        argv = ["norms", "--j-max", "2", "--function", f'hermite:{{"coeffs":{coeffs}}}',
+                "--alpha", "0.5", "--p", "3", "--q", "2", "--kind", "A"]
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1 and out.rstrip("\n").endswith(",A,0")
+        assert err == ""
+
 
 class TestDecayAndShift:
     def test_decay_summary(self, tmp_path, capsys):

@@ -119,7 +119,7 @@ class TestPartitionResidual:
         assert partition_residual(make_pair(kind), j) < 1e-11
 
     def test_zero_b_hat(self):
-        zero = SmoothCutoff(kind="dual", func=np.zeros_like)
+        zero = SmoothCutoff(np.zeros_like)
         pair = CutoffPair(a_hat=make_quadratic_cutoff(), b_hat=zero)
         assert partition_residual(pair, 2) == pytest.approx(1.0)
 

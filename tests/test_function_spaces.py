@@ -91,7 +91,10 @@ class TestSequenceNorms:
         s = analyze(f, frame_j3)
         params = SpaceParams(0.5, 3.0, 2.0)
         base = f_sequence_norm(s, params, frame_j3, grid_j3)
-        scaled = f_sequence_norm(s.scaled(2.5), params, frame_j3, grid_j3)
+        s_scaled = nf.NeedletCoefficients(
+            frame=frame_j3, level_values={j: 2.5 * a for j, a in s.level_values.items()}
+        )
+        scaled = f_sequence_norm(s_scaled, params, frame_j3, grid_j3)
         assert scaled == pytest.approx(2.5 * base, rel=1e-12)
 
     def test_closed_form_matches_parseval(self, frame_j3, test_set_v64):
@@ -260,11 +263,10 @@ class TestContinuousNorms:
             f_continuous_norm(f, SpaceParams(0.0, 2.0, 2.0), frame_j3, grid_j3)
 
     def test_deepened_series(self, frame_j3):
-        # level truncation override covers content beyond the built depth
+        # filter-only levels past the built depth carry the content above it
         f = HermiteExpansion(1, 100, {(100,): 1.0})
-        v = b_continuous_norm(
-            f, SpaceParams(0.0, 2.0, 2.0), frame_j3, j_levels=5
-        )
+        filtered = fs._filtered_coeffs(f, frame_j3, 5)
+        v = fs._b_norm(filtered, f.degree, SpaceParams(0.0, 2.0, 2.0), frame_j3, None)
         assert v == pytest.approx(1.0, rel=1e-12)
 
     def test_d2_grid_path_matches_exact(self, frame_d2_j3):
@@ -276,7 +278,7 @@ class TestContinuousNorms:
         exact = f_continuous_norm(f, params, frame_d2_j3, None)
         grid = GridSpec(frame_d2_j3.max_node + 1.0, 32)
         filtered = fs._filtered_coeffs(f, frame_d2_j3, frame_d2_j3.j_max)
-        blocks = fs._expansion_blocks(filtered, 2, f.degree, grid.axis())
+        blocks = fs._expansion_blocks(filtered, f.degree, grid.axis(), params.p)
         got = fs._combined_lp(blocks, params, grid.step**2)
         assert got == pytest.approx(exact, rel=1e-8)
 
@@ -387,6 +389,21 @@ class TestBestApproximation:
         f = HermiteExpansion(1, 0, {(0,): 1.0})
         assert approximation_norm(f, 1.0, 2.0, 2.0, grid_j3) == pytest.approx(1.0)
 
+    def test_approximation_norm_of_zero_is_zero(self, grid_j3):
+        # f and every tail are all-zero arrays, whose norms are 0 with no grid pass
+        assert approximation_norm(HermiteExpansion(1, 0, {}), 0.5, 2.0, 3.0, grid_j3) == 0.0
+
+    def test_approximation_norm_is_one_grid_pass(self, grid_j3, monkeypatch):
+        # f and every nonzero tail are evaluated on the same blocks
+        f = random_expansion_1d(40, np.random.default_rng(8))
+        calls = []
+        blocks = fs._expansion_blocks
+        monkeypatch.setattr(
+            fs, "_expansion_blocks", lambda *a: calls.append(list(a[0])) or blocks(*a)
+        )
+        approximation_norm(f, 0.5, 2.0, 3.0, grid_j3)
+        assert calls == [[0, 1, 2, 3, 4, 5, "f"]]
+
     def test_approximation_norm_homogeneous(self, grid_j3, test_set_v64):
         f = test_set_v64[4]
         base = approximation_norm(f, 0.5, 1.0, 2.0, grid_j3)
@@ -465,6 +482,17 @@ class TestShiftStudy:
             )
         rows = shift_study(1.0, [0.0, 2.0], SpaceParams(1.0, 2.0, 2.0), frame_j3)
         assert len(rows) == 2 and 12304 not in orders
+
+    def test_filters_each_shift_once(self, frame_j3, monkeypatch):
+        # B and F are read from one filtering of each shift
+        calls = []
+        filtered = fs._filtered_coeffs
+        monkeypatch.setattr(
+            fs, "_filtered_coeffs", lambda *a: calls.append(a) or filtered(*a)
+        )
+        params = SpaceParams(1.0, 2.0, 2.0)
+        rows = shift_study(3.0, [0.0, 1.5], params, frame_j3)
+        assert len(rows) == 2 and len(calls) == 2
 
     def test_batched_shifts_match_single_projections(self):
         results = fs._project_bumps(1.3, [-0.5, 0.0, 3.0], 1, 2048)
@@ -642,7 +670,7 @@ class TestPowerSum:
         b = b_continuous_norm(f, params, frame, grid)
         assert f_continuous_norm(f, params, frame, grid) == pytest.approx(b, rel=1e-13)
         filtered = fs._filtered_coeffs(f, frame, None)
-        blocks = fs._expansion_blocks(filtered, d, f.degree, grid.axis())
+        blocks = fs._expansion_blocks(filtered, f.degree, grid.axis(), params.p)
         assert fs._combined_lp(blocks, params, grid.step**d) == pytest.approx(b, rel=1e-13)
 
     @pytest.mark.parametrize("d", [1, 2])

@@ -277,7 +277,7 @@ class TestExpansion:
 
         f = HermiteExpansion(2, 3, {(0, 2): 1.5, (3, 0): -0.5})
         xs = np.linspace(-2, 2, 5)
-        ((_, grid),) = next(fs._expansion_blocks({0: f.array}, 2, f.degree, xs))
+        ((_, grid),) = next(fs._expansion_blocks({0: f.array}, f.degree, xs, np.inf))
         for i, x in enumerate(xs):
             for j, y in enumerate(xs):
                 assert grid[i, j] == pytest.approx(
