@@ -28,7 +28,6 @@ from .errors import (
     ResourceError,
 )
 from .function_spaces import (
-    BestApprox,
     GridSpec,
     SpaceParams,
     approximation_norm,
@@ -44,13 +43,8 @@ from .function_spaces import (
 )
 from .hermite_core import (
     HermiteExpansion,
-    christoffel,
-    evaluate_expansion,
     hermite_function,
-    hermite_function_derivative,
-    partial_sum_kernel,
     project_function,
-    projector_kernel,
 )
 from .needlet_frame import (
     FrameLevel,

@@ -2,9 +2,9 @@
 
 Commands: rule, frame, decompose, reconstruct, norms, decay, shift-study,
 verify.  Configuration comes from an optional JSON file plus flags (flags
-win); NEEDLET_NODE_BUDGET overrides the node budget.  All CSV output uses
-a header row, comma separators, and 17-significant-digit floats, so equal
-configurations produce byte-identical files.
+win).  All CSV output uses a header row, comma separators, and
+17-significant-digit floats, so equal configurations produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -106,14 +106,6 @@ class RunConfig:
             for key, value in data.items():
                 _check_config_value(key, value, _FIELD_TYPES[key])
                 setattr(cfg, key, value)
-        env_budget = os.environ.get("NEEDLET_NODE_BUDGET")
-        if env_budget:
-            try:
-                cfg.node_budget = int(env_budget)
-            except ValueError as exc:
-                raise ParameterError(
-                    f"NEEDLET_NODE_BUDGET must be an integer, got {env_budget!r}"
-                ) from exc
         return cfg
 
     def apply_flags(self, args: argparse.Namespace) -> "RunConfig":
@@ -171,9 +163,7 @@ def _parse_number(flag: str, text: str, allow_inf: bool = False) -> float:
     raise ParameterError(f"{flag} must be {allowed}, got {text!r}")
 
 
-def _parse_function(
-    spec: str, cfg: RunConfig, degree: int | None, quad_order: int | None
-) -> hc.HermiteExpansion:
+def _parse_function(spec: str, cfg: RunConfig, degree: int | None) -> hc.HermiteExpansion:
     """Parse ``hermite:<json>`` or ``bump:width,center...`` function specs."""
     if spec.startswith("hermite:"):
         try:
@@ -197,7 +187,7 @@ def _parse_function(
         center = parts[1:] or [0.0]  # smooth_bump repeats one value on every axis
         if degree is None:  # the most that analyze -> synthesize returns unchanged
             degree = min(4 ** (cfg.j_max - 1), 256) if cfg.j_max else 0
-        return fs.project_bump(width, center, cfg.dimension, degree, quad_order).expansion
+        return fs.project_bumps(width, [center], cfg.dimension, degree)[0].expansion
     raise ParameterError(f"function spec must start with 'hermite:' or 'bump:', got {spec!r}")
 
 
@@ -270,7 +260,7 @@ def cmd_frame(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
     frame = cfg.build_frame()
-    f = _parse_function(args.function, cfg, args.degree, args.quad_order)
+    f = _parse_function(args.function, cfg, args.degree)
     coeffs = nf.analyze(f, frame)
     path = _out_path(cfg, args.out, "coefficients.csv")
     coord_cols = [f"xi_{i+1}" for i in range(frame.d)]
@@ -360,7 +350,7 @@ def cmd_norms(args: argparse.Namespace, cfg: RunConfig) -> int:
     params = fs.SpaceParams(alpha, p, q)
     frame = cfg.build_frame()
     grid = cfg.grid_for(frame)
-    f = _parse_function(args.function, cfg, args.degree, args.quad_order)
+    f = _parse_function(args.function, cfg, args.degree)
     kind = args.kind
     if kind == "F":
         value = fs.f_continuous_norm(f, params, frame, grid)
@@ -371,7 +361,7 @@ def cmd_norms(args: argparse.Namespace, cfg: RunConfig) -> int:
     elif kind == "b":
         value = fs.b_sequence_norm(nf.analyze(f, frame), params, frame)
     elif kind == "E":
-        value = fs.best_approx_error(f, args.approx_n, p, grid).value
+        value = fs.best_approx_error(f, args.approx_n, p, grid)
     else:  # "A", the last of the --kind choices
         value = fs.approximation_norm(f, alpha, q, p, grid)
     if not math.isfinite(value):
@@ -487,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = add_parser(name)
         sub.add_argument("--function", required=True, help="hermite:<json> or bump:w,c")
         sub.add_argument("--degree", type=int, help="projection degree for bump specs")
-        sub.add_argument("--quad-order", dest="quad_order", type=int)
         sub.add_argument("--out")
         extra = _GRID_FIELDS if name == "norms" else ("output_dir",)
         _add_config_flags(sub, "dimension", *_FRAME_FIELDS, *extra)

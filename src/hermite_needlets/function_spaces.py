@@ -400,13 +400,6 @@ def b_sequence_norm(
     return float(_scale_combine(level_terms.items(), alpha, q))
 
 
-class BestApprox(NamedTuple):
-    """Best-approximation error; ``exact`` is False for a nonzero p != 2 bound."""
-
-    value: float
-    exact: bool
-
-
 def _tail(f: HermiteExpansion, n: int) -> np.ndarray:
     """The coefficient array of f with every term of total degree <= n zeroed."""
     above = np.arange(f.degree + 1) > n
@@ -415,16 +408,15 @@ def _tail(f: HermiteExpansion, n: int) -> np.ndarray:
 
 def best_approx_error(
     f: HermiteExpansion, n: int, p: float, grid: GridSpec | None = None
-) -> BestApprox:
-    """Distance from f to the band of degree <= n in L^p.
+) -> float:
+    """L^p norm of f's tail above degree n: its distance to the degree-<= n band.
 
-    For p = 2 the orthogonal projection is optimal and the tail norm is
-    exact; for other p the projection error is only an upper bound.
+    The value is exact at p = 2, where the orthogonal projection is
+    optimal, and an upper bound on the distance at every other p.
     """
     if n < 0:
         raise ParameterError(f"approximation degree must be >= 0, got {n}")
-    value = _level_lp_norms({0: _tail(f, n)}, f.degree, p, grid)[0]
-    return BestApprox(value, p == 2.0 or value == 0.0)
+    return _level_lp_norms({0: _tail(f, n)}, f.degree, p, grid)[0]
 
 
 def approximation_norm(
@@ -492,21 +484,20 @@ def smooth_bump(width: float = 1.0, center=0.0, dim: int = 1) -> Callable:
 MIN_BUMP_NODES = 3
 
 
-def _project_bumps(
-    width: float, centers, dim: int, degree: int, quad_order: int | None = None
+def project_bumps(
+    width: float, centers, dim: int, degree: int
 ) -> list[hermite_core.ProjectionResult]:
     """``project_function`` of ``smooth_bump(width, c, dim)`` for each c in ``centers``.
 
     The bumps vanish outside their supports, so each axis evaluates only
-    the nodes of the order-``quad_order`` rule (2*degree + 16 by default)
-    inside the union of the supports' extents on it (``windowed_rule``),
-    and all bumps share one pass over them.  A support that holds fewer
-    than ``MIN_BUMP_NODES`` nodes on an axis raises IngestionAccuracyError.
+    the nodes of the order-(2*degree + 16) rule inside the union of the
+    supports' extents on it (``windowed_rule``), and all bumps share one
+    pass over them.  A support that holds fewer than ``MIN_BUMP_NODES``
+    nodes on an axis raises IngestionAccuracyError.
     """
-    quad_order = 2 * degree + 16 if quad_order is None else quad_order
     bumps = [smooth_bump(width, c, dim) for c in centers]  # checks width and centres
     hermite_core._check_degree(degree)
-    hermite_core._check_quad_order(degree, quad_order)
+    quad_order = 2 * degree + 16
     ctrs = [np.broadcast_to(np.asarray(c, dtype=float).ravel(), (dim,)) for c in centers]
     axes = []
     for i in range(dim):
@@ -525,18 +516,6 @@ def _project_bumps(
     return hermite_core.project_columns(
         lambda x: np.stack([b(x) for b in bumps], axis=-1), degree, axes
     )
-
-
-def project_bump(
-    width: float, center, dim: int, degree: int, quad_order: int | None = None
-) -> hermite_core.ProjectionResult:
-    """``project_function`` of ``smooth_bump(width, center, dim)``, on its support.
-
-    The rule order defaults to 2*degree + 16.  A bump whose support holds
-    fewer than ``MIN_BUMP_NODES`` rule nodes on some axis raises
-    IngestionAccuracyError.
-    """
-    return _project_bumps(width, [center], dim, degree, quad_order)[0]
 
 
 class ShiftRow(NamedTuple):
@@ -564,7 +543,7 @@ def shift_study(
     """Norms of a shifted bump: rows (y, L2, B-norm, F-norm, tail).
 
     Every shift is ingested by numeric projection, all in one pass over the
-    rule nodes inside the supports (``_project_bumps``); the shifted copies
+    rule nodes inside the supports (``project_bumps``); the shifted copies
     keep their L2 norm while both Hermite-scale norms grow, which is
     what separates these spaces from shift-invariant ones.  The scale series
     is truncated at the first level whose filter clears the projection
@@ -593,7 +572,7 @@ def shift_study(
                     f"{grid.radius}"
                 )
     j_top = max(frame.j_max, levels_for_degree(degree))
-    results = _project_bumps(bump_width, shifts, 1, degree) if shifts else []
+    results = project_bumps(bump_width, shifts, 1, degree) if shifts else []
     rows = []
     for y, result in zip(shifts, results):
         if result.tail > INGESTION_TAIL_TOL:
@@ -603,13 +582,10 @@ def shift_study(
             )
         fy = result.expansion
         filtered = _filtered_coeffs(fy, frame, j_top)
-        rows.append(
-            ShiftRow(
-                y=float(y),
-                l2=fy.l2_norm(),
-                b_norm=_b_norm(filtered, fy.degree, params, frame, grid),
-                f_norm=_f_norm(filtered, fy.degree, params, frame, grid),
-                tail=result.tail,
-            )
+        # at p = q the F norm is the B norm (Fubini), so it is computed once
+        f_norm = _f_norm(filtered, fy.degree, params, frame, grid)
+        b_norm = f_norm if params.p == params.q else _b_norm(
+            filtered, fy.degree, params, frame, grid
         )
+        rows.append(ShiftRow(float(y), fy.l2_norm(), b_norm, f_norm, result.tail))
     return rows

@@ -1,4 +1,4 @@
-"""Stable evaluation of Hermite functions, kernels, and Christoffel functions.
+"""Stable evaluation of Hermite functions, their kernels and kernel diagonals.
 
 All evaluation goes through the normalized three-term recurrence
 
@@ -193,12 +193,6 @@ def hermite_function(n: int, t: float) -> float:
     return float(hermite_values(n, np.asarray([float(t)]))[n, 0])
 
 
-def hermite_function_derivative(n: int, t: float) -> float:
-    """h_n'(t) = -sqrt((n+1)/2) h_{n+1}(t) + sqrt(n/2) h_{n-1}(t)."""
-    _check_degree(n)
-    return float(hermite_derivative_values(n, np.asarray([float(t)]))[n, 0])
-
-
 def hermite_values(max_degree: int, points: np.ndarray, weights=None) -> np.ndarray:
     """Matrix of w_i*h_k(t_i) for k = 0..max_degree, shape (max_degree+1, npts).
 
@@ -259,42 +253,6 @@ def kernel_diag(n: int, points: np.ndarray) -> np.ndarray:
         if rescaled is not None:
             acc[rescaled] *= _RESCALE_DOWN
     return np.where(logscale < -708.0, np.exp(np.log(acc) + logscale), acc * np.exp(logscale))
-
-
-def _as_point(x, dim: int | None = None) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.ndim != 1:
-        raise DimensionMismatchError(f"expected a single point, got shape {pt.shape}")
-    if dim is not None and pt.size != dim:
-        raise DimensionMismatchError(f"point has {pt.size} components, expected {dim}")
-    return pt
-
-
-def _point_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    px, py = _as_point(x), _as_point(y)
-    if px.size != py.size:
-        raise DimensionMismatchError("x and y have different dimensions")
-    _check_dim(px.size)
-    return px, py
-
-
-def projector_kernel(n: int, x, y) -> float:
-    """Kernel of the projector onto the span of total degree exactly n.
-
-    d = 1: h_n(x) h_n(y); d = 2: sum over alpha = (k, n-k) of the products.
-    """
-    _check_degree(n)
-    px, py = _point_pair(x, y)
-    w = np.zeros(n + 1)
-    w[n] = 1.0
-    return float(filtered_kernel(w, px[None], py[None], px.size)[0])
-
-
-def partial_sum_kernel(n: int, x, y) -> float:
-    """Kernel K_n(x,y) of the projector onto total degree <= n."""
-    _check_degree(n)
-    px, py = _point_pair(x, y)
-    return float(filtered_kernel(np.ones(n + 1), px[None], py[None], px.size)[0])
 
 
 def total_degree_weights(w: np.ndarray, dim: int) -> np.ndarray:
@@ -379,11 +337,6 @@ def projector_diag(max_degree: int, points: np.ndarray, dim: int = 1) -> np.ndar
     _check_dim(dim)
     (pts,) = _as_points(dim, points)
     return _degree_sums([hermite_values(max_degree, pts[:, i]) ** 2 for i in range(dim)])
-
-
-def christoffel(n: int, t: float) -> float:
-    """Christoffel function 1 / K_n(t,t) on the real line."""
-    return float(1.0 / kernel_diag(n, np.asarray([float(t)]))[0])
 
 
 class HermiteExpansion:
@@ -478,24 +431,11 @@ class HermiteExpansion:
         )
 
 
-def evaluate_expansion(f: HermiteExpansion, x) -> float:
-    """Pointwise value sum_alpha c_alpha H_alpha(x)."""
-    pt = _as_point(x, f.dim)
-    return float(contract_axes(f.array, hermite_values(f.degree, pt).T))
-
-
 class ProjectionResult(NamedTuple):
     """Expansion produced by numeric projection plus its tail indicator."""
 
     expansion: HermiteExpansion
     tail: float
-
-
-def _check_quad_order(degree: int, quad_order: int) -> None:
-    if quad_order < 2 * degree + 16:
-        raise InsufficientQuadratureError(
-            f"quad_order {quad_order} < 2*{degree} + 16 required for degree {degree}"
-        )
 
 
 def product_moments(values: np.ndarray, degree: int, axes) -> np.ndarray:
@@ -549,7 +489,10 @@ def project_function(
     """
     _check_degree(degree)
     _check_dim(dim)
-    _check_quad_order(degree, quad_order)
+    if quad_order < 2 * degree + 16:
+        raise InsufficientQuadratureError(
+            f"quad_order {quad_order} < 2*{degree} + 16 required for degree {degree}"
+        )
     from . import quadrature  # local import; quadrature builds on this module
 
     rule = quadrature.gauss_hermite_rule(quad_order)

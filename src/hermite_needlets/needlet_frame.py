@@ -64,10 +64,6 @@ class FrameLevel(quadrature.CubatureRule):
     def tile_measures(self) -> np.ndarray:
         return self.axis_product(self.tile_lengths_1d())
 
-    def cube_bounds(self) -> tuple[float, float]:
-        """The cube covered by this level's tiles (one axis)."""
-        return float(self.interval_bounds[0]), float(self.interval_bounds[-1])
-
 
 def build_level(
     j: int,
@@ -331,10 +327,6 @@ def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpan
 class LocalizationReport:
     """Decay profile of one needlet kernel along rays through its node."""
 
-    j: int
-    node_index: int
-    k: int
-    dx_order: int
     inner_max: float  # max of |kernel| * (1 + 2^j |x-xi|)^k / 2^(j d)
     tail_max: float  # raw |kernel| beyond the evanescent radius
     samples: tuple  # (offset, kernel value, weighted value) triples
@@ -391,15 +383,7 @@ def localization_profile(
         (float(o), float(v), float(wv))
         for o, v, wv in zip(all_offsets, vals, weighted)
     )
-    return LocalizationReport(
-        j=j,
-        node_index=node_index,
-        k=k,
-        dx_order=dx_order,
-        inner_max=inner_max,
-        tail_max=tail_max,
-        samples=samples,
-    )
+    return LocalizationReport(inner_max=inner_max, tail_max=tail_max, samples=samples)
 
 
 def decay_statistics(

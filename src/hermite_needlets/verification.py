@@ -301,7 +301,7 @@ def suite_kernels() -> list[CheckResult]:
     worst = 0.0
     for n in (8, 64):
         for x, y in ((0.3, -1.2), (2.0, 2.5), (-4.0, 1.0)):
-            direct = hc.partial_sum_kernel(n, x, y)
+            direct = hc.filtered_kernel(np.ones(n + 1), np.array([x]), np.array([y]))[0]
             # Christoffel-Darboux form of the same kernel, valid for x != y
             h = hc.hermite_values(n + 1, np.array([x, y]))
             num = h[n + 1, 0] * h[n, 1] - h[n, 0] * h[n + 1, 1]
@@ -363,7 +363,7 @@ def suite_frame() -> list[CheckResult]:
     worst = 0.0
     comp = []
     for level in frame.levels:
-        q0, q1 = level.cube_bounds()
+        q0, q1 = level.interval_bounds[[0, -1]]  # the cube the tiles cover, one axis
         worst = max(
             worst,
             abs(level.tile_measures().sum() - (q1 - q0) ** level.d)

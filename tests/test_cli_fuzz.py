@@ -58,7 +58,6 @@ FUNCTION = {
         "wave:3",
     ]),
     "--degree": values(4, 16),
-    "--quad-order": values(8, 48),
 }
 J_MAX = {"--j-max": values(1, 2)}
 # 2000 and 1e-300 take some norms past the double range, which exits 1

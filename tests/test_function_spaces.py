@@ -366,24 +366,22 @@ class TestContinuousNorms:
 class TestBestApproximation:
     def test_orthogonal_tail(self):
         f = HermiteExpansion(1, 5, {(0,): 1.0, (5,): 1.0})
-        assert best_approx_error(f, 4, 2.0).value == pytest.approx(1.0)
-        assert best_approx_error(f, 5, 2.0).value == 0.0
-        assert best_approx_error(f, 4, 2.0).exact
+        assert best_approx_error(f, 4, 2.0) == pytest.approx(1.0)
+        assert best_approx_error(f, 5, 2.0) == 0.0
 
     def test_monotone_in_degree(self, test_set_v64):
         f = test_set_v64[6]
-        vals = [best_approx_error(f, n, 2.0).value for n in range(0, 40, 4)]
+        vals = [best_approx_error(f, n, 2.0) for n in range(0, 40, 4)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_vanishes_beyond_degree(self, test_set_v64):
         f = test_set_v64[2]
-        assert best_approx_error(f, f.degree, 2.0).value == 0.0
+        assert best_approx_error(f, f.degree, 2.0) == 0.0
 
     def test_p_not_2_is_flagged_bound(self, frame_j3, grid_j3):
         f = HermiteExpansion(1, 5, {(0,): 1.0, (5,): 1.0})
-        res = best_approx_error(f, 4, 4.0, grid_j3)
-        assert not res.exact
-        assert res.value > 0.0
+        # a nonzero value at p != 2 is an upper bound, not the distance
+        assert best_approx_error(f, 4, 4.0, grid_j3) > 0.0
 
     def test_approximation_norm_ground_state(self, grid_j3):
         f = HermiteExpansion(1, 0, {(0,): 1.0})
@@ -494,10 +492,21 @@ class TestShiftStudy:
         rows = shift_study(3.0, [0.0, 1.5], params, frame_j3)
         assert len(rows) == 2 and len(calls) == 2
 
+    def test_p_equals_q_reads_b_once_per_shift(self, monkeypatch):
+        # at p = q the F norm is the B norm, so one B pass serves both
+        frame = nf.build_frame(d=1, j_max=2)
+        args = (1.0, [0.0, 2.0], SpaceParams(1.0, 3.0, 3.0), frame, default_grid(frame))
+        want = shift_study(*args)
+        calls = []
+        b_norm = fs._b_norm
+        monkeypatch.setattr(fs, "_b_norm", lambda *a: calls.append(a) or b_norm(*a))
+        assert shift_study(*args) == want
+        assert len(calls) == 2
+
     def test_batched_shifts_match_single_projections(self):
-        results = fs._project_bumps(1.3, [-0.5, 0.0, 3.0], 1, 2048)
+        results = fs.project_bumps(1.3, [-0.5, 0.0, 3.0], 1, 2048)
         for y, got in zip([-0.5, 0.0, 3.0], results):
-            want = fs.project_bump(1.3, y, 1, 2048)
+            (want,) = fs.project_bumps(1.3, [y], 1, 2048)
             top = np.max(np.abs(want.expansion.array))
             assert np.max(np.abs(got.expansion.array - want.expansion.array)) <= 1e-15 * top
             assert abs(got.tail - want.tail) <= 1e-15 * top
@@ -507,7 +516,7 @@ class TestShiftStudy:
         [(1.0, 0.3, 1, 4), (0.8, -0.6, 1, 300), (1.0, (0.5, -0.2), 2, 40)],
     )
     def test_support_projection_matches_the_whole_rule(self, width, center, dim, degree):
-        got = fs.project_bump(width, center, dim, degree)
+        (got,) = fs.project_bumps(width, [center], dim, degree)
         want = hc.project_function(smooth_bump(width, center, dim), degree,
                                    2 * degree + 16, dim)
         top = np.max(np.abs(want.expansion.array))
@@ -521,10 +530,10 @@ class TestShiftStudy:
     )
     def test_bump_reached_by_too_few_nodes_refused(self, width, center, dim, inside):
         with pytest.raises(IngestionAccuracyError, match=f"width {width} .* {inside} node"):
-            fs.project_bump(width, center, dim, 4)
+            fs.project_bumps(width, [center], dim, 4)
 
     def test_bump_reached_by_three_nodes_projects(self):
-        f = fs.project_bump(0.5, 0.674, 1, 4).expansion
+        f = fs.project_bumps(0.5, [0.674], 1, 4)[0].expansion
         assert np.all(np.isfinite(f.array)) and f.array[0] > 0.0
 
     def test_small_width_study_monotone(self, frame_j4):
@@ -772,7 +781,7 @@ class TestBandWindow:
         series = l1 * (1.0 + sum(2.0 ** (alpha * j) for j in range(j_cap + 1)))
         # (name, norm of the grid given, weight, terms)
         norms = [
-            ("E", lambda g: best_approx_error(f, f.degree // 2, p, g).value, l1, 1),
+            ("E", lambda g: best_approx_error(f, f.degree // 2, p, g), l1, 1),
         ]
         for q in (1.0, 2.0, INF):
             params = SpaceParams(alpha, p, q)
@@ -798,7 +807,7 @@ class TestBandWindow:
         # the d = 2, j_max = 4 F-norm of `norms ... --function bump:1.0,0.5
         # --degree 64 --p 3 --q 2 --kind F`; its whole grid has 5968 cells a side
         frame = nf.build_frame(d=2, j_max=4)
-        f = fs.project_bump(1.0, 0.5, 2, 64).expansion
+        f = fs.project_bumps(1.0, [0.5], 2, 64)[0].expansion
         grid = default_grid(frame)
         sizes = []
         values = hc.hermite_values

@@ -12,15 +12,11 @@ from hermite_needlets import (
     InsufficientQuadratureError,
     InvalidDegreeError,
     NumericFailureError,
-    christoffel,
-    evaluate_expansion,
     hermite_function,
-    hermite_function_derivative,
-    partial_sum_kernel,
     project_function,
-    projector_kernel,
     smooth_bump,
 )
+from hermite_needlets import function_spaces as fs
 from hermite_needlets import hermite_core as hc
 from hermite_needlets import quadrature as quad
 
@@ -100,10 +96,10 @@ class TestHermiteFunction:
 
 class TestDerivative:
     def test_h0_derivative_at_zero(self):
-        assert hermite_function_derivative(0, 0.0) == 0.0
+        assert hc.hermite_derivative_values(0, np.array([0.0]))[0, 0] == 0.0
 
     def test_h1_derivative_at_zero(self):
-        assert hermite_function_derivative(1, 0.0) == pytest.approx(
+        assert hc.hermite_derivative_values(1, np.array([0.0]))[1, 0] == pytest.approx(
             math.sqrt(2.0) * PI14, rel=1e-14
         )
 
@@ -113,22 +109,29 @@ class TestDerivative:
         fd = (hermite_function(n, t + step) - hermite_function(n, t - step)) / (
             2.0 * step
         )
-        assert hermite_function_derivative(n, t) == pytest.approx(fd, rel=1e-6)
+        got = hc.hermite_derivative_values(n, np.array([t]))[n, 0]
+        assert got == pytest.approx(fd, rel=1e-6)
 
 
 class TestTensorAndKernels:
+    """Projector kernels H_n (one-hot weights) and partial sums K_n (weights
+    1) through ``filtered_kernel``, at one pair of points."""
+
     def test_projector_d1(self):
         v = hermite_function(3, 2.0)
-        assert projector_kernel(3, 2.0, 2.0) == pytest.approx(v * v, rel=1e-14)
+        got = hc.filtered_kernel(np.eye(4)[3], np.array([2.0]), np.array([2.0]))[0]
+        assert got == pytest.approx(v * v, rel=1e-14)
 
     def test_projector_d2_gaussian(self):
         x = (0.4, -1.2)
         want = math.exp(-(x[0] ** 2 + x[1] ** 2)) / math.pi
-        assert projector_kernel(0, x, x) == pytest.approx(want, rel=1e-13)
+        pt = np.array([x])
+        assert hc.filtered_kernel(np.ones(1), pt, pt, 2)[0] == pytest.approx(want, rel=1e-13)
 
     def test_projector_symmetry(self):
-        a = projector_kernel(4, (1.0, 0.0), (0.0, 1.0))
-        b = projector_kernel(4, (0.0, 1.0), (1.0, 0.0))
+        e1, e2 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+        a = hc.filtered_kernel(np.eye(5)[4], e1, e2, 2)[0]
+        b = hc.filtered_kernel(np.eye(5)[4], e2, e1, 2)[0]
         assert a == b
 
     def test_projector_d2_against_sum(self):
@@ -138,50 +141,63 @@ class TestTensorAndKernels:
             * hermite_fn_direct(k, y[0]) * hermite_fn_direct(4 - k, y[1])
             for k in range(5)
         )
-        assert projector_kernel(4, x, y) == pytest.approx(want, rel=1e-12)
+        got = hc.filtered_kernel(np.eye(5)[4], np.array([x]), np.array([y]), 2)[0]
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_partial_sum_origin(self):
-        assert partial_sum_kernel(0, 0.0, 0.0) == pytest.approx(
+        zero = np.array([0.0])
+        assert hc.filtered_kernel(np.ones(1), zero, zero)[0] == pytest.approx(
             1.0 / math.sqrt(math.pi), rel=1e-14
         )
 
     def test_partial_sum_diagonal_positive(self):
         for n in (1, 8, 64):
-            for t in (-3.0, 0.0, 1.5):
-                assert partial_sum_kernel(n, t, t) > 0.0
+            t = np.array([-3.0, 0.0, 1.5])
+            assert np.all(hc.filtered_kernel(np.ones(n + 1), t, t) > 0.0)
 
     def test_partial_sum_even_terms_at_origin(self):
         want = sum(hermite_fn_direct(j, 0.0) ** 2 for j in range(0, 65, 2))
-        assert partial_sum_kernel(64, 0.0, 0.0) == pytest.approx(want, rel=1e-12)
+        zero = np.array([0.0])
+        assert hc.filtered_kernel(np.ones(65), zero, zero)[0] == pytest.approx(
+            want, rel=1e-12
+        )
 
     def test_christoffel_darboux_agrees(self):
         for n in (4, 32, 100):
             for x, y in ((0.1, -0.4), (2.0, 2.2), (-5.0, 0.5)):
-                direct = partial_sum_kernel(n, x, y)
+                direct = hc.filtered_kernel(np.ones(n + 1), np.array([x]), np.array([y]))[0]
                 h = hc.hermite_values(n + 1, np.array([x, y]))
                 num = h[n + 1, 0] * h[n, 1] - h[n, 0] * h[n + 1, 1]
                 cd = math.sqrt((n + 1) / 2.0) * num / (x - y)
                 assert cd == pytest.approx(direct, rel=1e-10, abs=1e-25)
 
     def test_partial_sum_d2_cumulative(self):
+        # K_5 = sum over |alpha| <= 5 of h_alpha(x) h_alpha(y), term by term
         x, y = (0.3, -0.8), (1.1, 0.2)
-        want = sum(projector_kernel(m, x, y) for m in range(6))
-        assert partial_sum_kernel(5, x, y) == pytest.approx(want, rel=1e-12)
+        want = sum(
+            hermite_fn_direct(k, x[0]) * hermite_fn_direct(m - k, x[1])
+            * hermite_fn_direct(k, y[0]) * hermite_fn_direct(m - k, y[1])
+            for m in range(6)
+            for k in range(m + 1)
+        )
+        got = hc.filtered_kernel(np.ones(6), np.array([x]), np.array([y]), 2)[0]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestKernelDiagonal:
     def test_reciprocal_identity(self):
+        # the Christoffel function 1 / K_n(t, t) from kernel_diag
         for n in (2, 16, 100):
-            for t in (0.0, 0.9, -2.4):
-                lam = christoffel(n, t)
-                assert lam * partial_sum_kernel(n, t, t) == pytest.approx(
-                    1.0, rel=1e-12
-                )
+            t = np.array([0.0, 0.9, -2.4])
+            lam = 1.0 / hc.kernel_diag(n, t)
+            for got in lam * hc.filtered_kernel(np.ones(n + 1), t, t):
+                assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_christoffel_closed_form(self):
         # at a zero of the degree-2 polynomial only h_0, h_1 contribute
         want = (math.sqrt(math.pi) / 2.0) * math.exp(0.5)
-        assert christoffel(2, 1.0 / math.sqrt(2.0)) == pytest.approx(want, rel=1e-13)
+        lam = 1.0 / hc.kernel_diag(2, np.array([1.0 / math.sqrt(2.0)]))[0]
+        assert lam == pytest.approx(want, rel=1e-13)
 
     def test_asymptotic_ratio_window(self):
         # frozen window; see also the acceptance suite
@@ -241,16 +257,19 @@ class TestKernelDiagonal:
 class TestExpansion:
     def test_single_term(self):
         f = HermiteExpansion(1, 0, {(0,): 1.0})
-        assert evaluate_expansion(f, 0.0) == pytest.approx(PI14, rel=1e-14)
+        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, np.array([0.0]), np.inf))
+        assert v[0] == pytest.approx(PI14, rel=1e-14)
 
     def test_zero_expansion(self):
+        # the norms never evaluate an all-zero array: its norm is 0 on no grid
         f = HermiteExpansion(1, 4, {})
-        assert evaluate_expansion(f, 1.3) == 0.0
+        assert fs._level_lp_norms({0: f.array}, f.degree, np.inf, None)[0] == 0.0
 
     def test_linearity(self):
         f = HermiteExpansion(1, 5, {(2,): 3.0, (5,): -1.0})
         want = 3.0 * hermite_fn_direct(2, 1.1) - hermite_fn_direct(5, 1.1)
-        assert evaluate_expansion(f, 1.1) == pytest.approx(want, rel=1e-12)
+        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, np.array([1.1]), np.inf))
+        assert v[0] == pytest.approx(want, rel=1e-12)
 
     def test_l2_norm_parseval(self):
         f = HermiteExpansion(1, 3, {(0,): 3.0, (3,): 4.0})
@@ -270,19 +289,21 @@ class TestExpansion:
         want = hermite_fn_direct(0, x[0]) * hermite_fn_direct(0, x[1]) - 2.0 * (
             hermite_fn_direct(1, x[0]) * hermite_fn_direct(3, x[1])
         )
-        assert evaluate_expansion(f, x) == pytest.approx(want, rel=1e-12)
+        axis = np.array([-0.7, 0.3])  # the grid point (axis[1], axis[0]) is x
+        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, axis, np.inf))
+        assert v[1, 0] == pytest.approx(want, rel=1e-12)
 
     def test_grid_evaluation_matches_pointwise(self):
-        from hermite_needlets import function_spaces as fs
-
         f = HermiteExpansion(2, 3, {(0, 2): 1.5, (3, 0): -0.5})
         xs = np.linspace(-2, 2, 5)
         ((_, grid),) = next(fs._expansion_blocks({0: f.array}, f.degree, xs, np.inf))
         for i, x in enumerate(xs):
             for j, y in enumerate(xs):
-                assert grid[i, j] == pytest.approx(
-                    evaluate_expansion(f, (x, y)), rel=1e-12, abs=1e-15
+                want = sum(
+                    c * hermite_fn_direct(a, x) * hermite_fn_direct(b, y)
+                    for (a, b), c in f.coeffs.items()
                 )
+                assert grid[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_from_array_rejects_non_finite(self, bad):
@@ -296,9 +317,10 @@ class TestExpansion:
     @settings(max_examples=50, deadline=None)
     def test_evaluation_homogeneous(self, scale, t):
         f = HermiteExpansion(1, 3, {(1,): 0.5, (3,): -2.0})
-        assert evaluate_expansion(f.scaled(scale), t) == pytest.approx(
-            scale * evaluate_expansion(f, t), rel=1e-10, abs=1e-12
-        )
+        g = f.scaled(scale)  # all zero at scale 0: _expansion_blocks takes nonzero arrays
+        got = sum(c * hermite_fn_direct(k, t) for (k,), c in g.coeffs.items())
+        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, np.array([t]), np.inf))
+        assert got == pytest.approx(scale * v[0], rel=1e-10, abs=1e-12)
 
 
 class TestWeightedValues:
@@ -482,7 +504,8 @@ class TestTotalDegreeSums:
         n = 2000
         tracemalloc.start()
         try:
-            partial_sum_kernel(n, (0.3, -0.2), (0.1, 0.4))
+            hc.filtered_kernel(np.ones(n + 1), np.array([[0.3, -0.2]]),
+                               np.array([[0.1, 0.4]]), 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -72,7 +72,7 @@ class TestLevelConstruction:
 
     def test_tiles_partition_cube(self, frame_j4):
         for level in frame_j4.levels:
-            q0, q1 = level.cube_bounds()
+            q0, q1 = level.interval_bounds[0], level.interval_bounds[-1]
             total = level.tile_measures().sum()
             assert total == pytest.approx((q1 - q0) ** level.d, rel=1e-10)
             assert np.all(np.diff(level.interval_bounds) > 0)
@@ -128,8 +128,10 @@ class TestKernels:
         # level 1 samples the cutoff at integers, so only degrees 1..3 enter
         x, y = 0.7, -0.2
         a = frame_j3.pair.a_hat
+        # at d = 1 the degree-nu projector kernel is h_nu(x) h_nu(y)
         want = sum(
-            float(a(nu)) * hc.projector_kernel(nu, x, y) for nu in range(1, 4)
+            float(a(nu)) * hermite_function(nu, x) * hermite_function(nu, y)
+            for nu in range(1, 4)
         )
         assert _kernel(frame_j3, 1, x, y) == pytest.approx(want, rel=1e-12)
 
@@ -149,7 +151,8 @@ class TestKernels:
         b = frame_j4_dual.pair.b_hat
         x, y = 0.4, 1.0
         brute = sum(
-            float(b(nu / 4)) * hc.projector_kernel(nu, x, y) for nu in range(16)
+            float(b(nu / 4)) * hermite_function(nu, x) * hermite_function(nu, y)
+            for nu in range(16)
         )
         got = _kernel(frame_j4_dual, 2, x, y, "b_hat")
         assert got == pytest.approx(brute, rel=1e-12)
@@ -203,7 +206,12 @@ class TestKernels:
         for nu in range(4**j):
             w = float(a(nu / n))
             if w != 0.0:
-                brute += w * hc.projector_kernel(nu, x, y)
+                # the degree-nu projector kernel: a sum over |alpha| = nu
+                brute += w * sum(
+                    hermite_function(k, x[0]) * hermite_function(nu - k, x[1])
+                    * hermite_function(k, y[0]) * hermite_function(nu - k, y[1])
+                    for k in range(nu + 1)
+                )
         assert _kernel(frame_d2_j3, j, x, y) == pytest.approx(brute, rel=1e-13)
 
     def test_d2_derivative_kernel_matches_fd(self, frame_d2_j3):
