@@ -35,6 +35,9 @@ from .needlet_frame import (
     NeedletFrame,
     _check_frame,
     _filtered_coeffs,
+    _trimmed,
+    _window_power,
+    coefficient_window,
     level_band,
 )
 
@@ -136,13 +139,13 @@ def _band_window(axis: np.ndarray, degree: int, p: float) -> slice:
     """The run of ``axis`` cells with |x| <= R, outside which every |h_k| <= tau_p.
 
     k runs over 0..degree, tau_p = WINDOW_TAU**max(1, 1/p) (WINDOW_TAU at
-    p = inf), and R is ``hermite_core.decay_radius`` over the positive cells.
-    On a dropped cell of a d-dim grid a band-limited
+    p = inf, ``_window_power``), and R is ``hermite_core.decay_radius`` over
+    the positive cells.  On a dropped cell of a d-dim grid a band-limited
     g = sum_alpha c_alpha H_alpha has |g| <= tau_p pi^(-(d-1)/4) ||c||_1
     (|h_k| <= pi^(-1/4) on the other axes), so the sum of |g|^p over a grid
     moves by at most N_dropped * cell volume * (that bound)^p.
     """
-    log_tau = math.log(WINDOW_TAU) * max(1.0, 1.0 / p)
+    log_tau = math.log(WINDOW_TAU) * _window_power(p)
     radius = hermite_core.decay_radius(degree, axis[axis > 0.0], log_tau)
     kept = np.flatnonzero(np.abs(axis) <= radius)
     return slice(int(kept[0]), int(kept[-1]) + 1)
@@ -160,15 +163,13 @@ def _expansion_blocks(
     computed as it is read, so read each block before asking for the next.
     The first axis contracts with the block's row Hermite matrix, the
     others with the whole window's, each level only over the rows up to
-    its last nonzero index: a level's band ends below the degree.
+    its last nonzero index (``_trimmed``): a level's band ends below the
+    degree.
     """
     axis = axis[_band_window(axis, degree, p)]
     dim = next(iter(filtered.values())).ndim
     cols = [hermite_core.hermite_values(degree, axis) for _ in range(dim - 1)]
-    trimmed = {}
-    for j, c in filtered.items():
-        top = max(int(i.max()) for i in np.nonzero(c)) + 1
-        trimmed[j] = c[(slice(top),) * dim]
+    trimmed = {j: _trimmed(c) for j, c in filtered.items()}
     for rows in _row_slices(axis.size, max(axis.size ** (dim - 1), degree + 1)):
         mats = [hermite_core.hermite_values(degree, axis[rows]), *cols]
         yield (
@@ -177,10 +178,13 @@ def _expansion_blocks(
         )
 
 
-def _scaled_tiles(values: np.ndarray, level) -> np.ndarray:
-    """|s_I| / sqrt(|I|) over the level's tiles, from per-axis lengths."""
-    scaled = level.axis_product(level.tile_lengths_1d() ** -0.5)
-    scaled *= np.abs(values)
+def _scaled_tiles(values: np.ndarray, level, win: slice = slice(None)) -> np.ndarray:
+    """|s_I| / sqrt(|I|) over the tiles of the box ``win`` on every axis, flat.
+
+    The tile measures come from per-axis lengths.
+    """
+    scaled = level.axis_product(level.tile_lengths_1d()[win] ** -0.5)
+    scaled *= np.abs(values.reshape(level.shape)[(win,) * level.d]).ravel()
     return scaled
 
 
@@ -306,6 +310,12 @@ def _level_lp_norms(arrays: dict, degree: int, p: float, grid: GridSpec | None) 
     return {k: norms.get(k, 0.0) for k in arrays}
 
 
+def _check_f_scale_p(p: float) -> None:
+    """Refuse p = inf, where the F-scale is not defined."""
+    if p == INF:
+        raise ParameterError("the F-scale is defined for p < infinity only")
+
+
 def f_continuous_norm(
     f: HermiteExpansion,
     params: SpaceParams,
@@ -322,8 +332,7 @@ def f_continuous_norm(
 
 def _f_norm(filtered, degree, params, frame, grid) -> float:
     """``f_continuous_norm`` of the levels ``_filtered_coeffs`` returned."""
-    if params.p == INF:
-        raise ParameterError("the F-scale is defined for p < infinity only")
+    _check_f_scale_p(params.p)
     if params.p == params.q:
         return _b_norm(filtered, degree, params, frame, grid)
     if not filtered:
@@ -360,12 +369,12 @@ def f_sequence_norm(
 ) -> float:
     """Sequence-space twin of the mixed norm, over the frame's tiles.
 
-    For p = q it is the closed form ``b_sequence_norm`` (Fubini); otherwise
+    For p = q it is the closed form ``b_sequence_norm`` (Fubini), which
+    reads each level's coefficient window only (see its bound); otherwise
     the piecewise-constant integrand is evaluated on the tensor grid
     (``method='grid'`` forces this path, ``method='closed'`` requires p = q).
     """
-    if params.p == INF:
-        raise ParameterError("the F-scale is defined for p < infinity only")
+    _check_f_scale_p(params.p)
     if method not in ("auto", "closed", "grid"):
         raise ParameterError(f"unknown method {method!r}")
     if method == "closed" and params.p != params.q:
@@ -382,21 +391,33 @@ def b_sequence_norm(
 ) -> float:
     """Sequence-space twin of the scale-then-space norm, on no grid.
 
-    For finite p each level's sum over its tiles I of |I|^(1 - p/2) |s_I|^p
-    is a ``_power_sum``: coefficients below 2^(-1000/p) of the level's
-    largest count as that cut, which adds less than N 2^-1000 (largest tile
-    weight / smallest tile weight) of the level's sum for N tiles.
+    Each level reads only its coefficient window at p
+    (``coefficient_window(values, p)``): the box outside which
+    |s| <= tau_p max|s|, tau_p = WINDOW_TAU**max(1, 1/p).  For finite p the
+    level's sum over its tiles I of |I|^(1 - p/2) |s_I|^p then moves by at
+    most N_out tau_p^p (largest / smallest tile weight |I|^(1 - p/2)) of
+    itself, for N_out tiles outside the box; tau_p^p is WINDOW_TAU**max(1, p).
+    The p = inf sup moves only if the weights |I|^(-1/2) differ by more than
+    1/WINDOW_TAU.  The kept sum is a ``_power_sum``: coefficients below
+    2^(-1000/p) of the level's largest count as that cut, which adds less
+    than N 2^-1000 (largest tile weight / smallest tile weight) of the
+    level's sum for N tiles.  Raises NumericFailureError if a coefficient is
+    not finite.
     """
     _check_frame(s, frame)
     p, q, alpha = params.p, params.q, params.alpha
     level_terms = {}
     for j, values in s.level_values.items():
         level = frame.levels[j]
-        if p == INF:
-            level_terms[j] = float(np.max(_scaled_tiles(values, level)))
+        win = coefficient_window(values.reshape(level.shape), p)
+        if win.start == win.stop:  # an all-zero level
+            level_terms[j] = 0.0
+        elif p == INF:
+            level_terms[j] = float(np.max(_scaled_tiles(values, level, win)))
         else:
-            weights = [level.tile_lengths_1d() ** (1.0 - p / 2.0)] * level.d
-            level_terms[j] = _pow(_power_sum(values.reshape(level.shape), p, weights), 1.0 / p)
+            box = values.reshape(level.shape)[(win,) * level.d]
+            weights = [level.tile_lengths_1d()[win] ** (1.0 - p / 2.0)] * level.d
+            level_terms[j] = _pow(_power_sum(box, p, weights), 1.0 / p)
     return float(_scale_combine(level_terms.items(), alpha, q))
 
 
@@ -553,7 +574,8 @@ def shift_study(
         raise DimensionMismatchError("the shift study is a d = 1 experiment")
     if not bump_width > 0:
         raise ParameterError(f"bump width must be positive, got {bump_width}")
-    dpos = frame.d * max(0.0, 1.0 / params.p - 1.0) if params.p != INF else 0.0
+    _check_f_scale_p(params.p)  # every row has an F norm
+    dpos = frame.d * max(0.0, 1.0 / params.p - 1.0)
     if not params.alpha > dpos:
         raise ParameterError(
             f"alpha must exceed d(1/p - 1)_+ = {dpos}, got {params.alpha}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -145,17 +146,35 @@ def build_frame(
     return NeedletFrame(d=d, delta=delta, j_max=j_max, levels=levels, cutoff_kind=cutoff)
 
 
-def filter_weights(cutoff: Callable, j: int, max_degree: int) -> np.ndarray:
-    """Coefficient filter a(nu / 4**(j-1)) for nu = 0..max_degree.
+@lru_cache(maxsize=64)
+def _filter_table(cutoff: Callable, j: int) -> np.ndarray:
+    """Read-only a(nu / 4**(j-1)) for nu = 0..level_band(j)[1]; [1.0] at level 0.
 
-    Level 0 keeps only total degree 0 (its kernel is the rank-one projector).
+    Evaluated once per cutoff and level: above the band a vanishes (its
+    support is (1/4, 4)).
     """
     if j == 0:
-        w = np.zeros(max_degree + 1)
-        w[0] = 1.0
-        return w
-    scale = 4.0 ** (j - 1)
-    return np.asarray(cutoff(np.arange(max_degree + 1) / scale), dtype=float)
+        table = np.ones(1)
+    else:
+        nu = np.arange(level_band(j)[1] + 1)
+        table = np.array(cutoff(nu / 4.0 ** (j - 1)), dtype=float)
+    table.setflags(write=False)
+    return table
+
+
+def filter_weights(cutoff: Callable, j: int, max_degree: int) -> np.ndarray:
+    """Coefficient filter a(nu / 4**(j-1)) for nu = 0..max_degree, a fresh array.
+
+    A slice of the level's table, which holds the cutoff's values over
+    ``level_band(j)`` and is computed once per cutoff and level; degrees
+    above the band get 0.  Level 0 keeps only total degree 0 (its kernel is
+    the rank-one projector).
+    """
+    table = _filter_table(cutoff, j)
+    w = np.zeros(max_degree + 1)
+    n = min(table.size, w.size)
+    w[:n] = table[:n]
+    return w
 
 
 def level_filter(cutoff: Callable, j: int, degree: int, d: int) -> np.ndarray:
@@ -241,43 +260,63 @@ def _filtered_coeffs(
     return out
 
 
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """``c``, not all zero, cut after its last nonzero index on every axis."""
+    top = max(int(i.max()) for i in np.nonzero(c)) + 1
+    return c[(slice(top),) * c.ndim]
+
+
 def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
     """Needlet coefficients lambda**(1/2) * (Phi_j * f)(xi) for all levels.
 
     Exact for band-limited input: the convolution is coefficient filtering,
     contracted on every axis with the lambda**(1/2)-scaled Hermite matrix.
+    Each level's matrix and contraction stop at the level's last nonzero
+    filtered degree, at most min(f.degree, 4**j - 1) (``_trimmed``).
     Degrees in (4**(j_max-1), 4**j_max] are accepted but do not round-trip
     through ``synthesize``: only a level j_max + 1 would complete the sum of
     a_hat * b_hat there, so at j_max = 3 h_40 comes back as 0.5 h_40.
     """
     out: dict[int, np.ndarray] = {}
     for j, filtered in _filtered_coeffs(f, frame, None).items():
+        filtered = _trimmed(filtered)
         rule = frame.levels[j].rule
         root_weights = np.sqrt(rule.christoffel_weights)
-        hmat = hermite_core.hermite_values(f.degree, rule.nodes, root_weights)
+        hmat = hermite_core.hermite_values(filtered.shape[0] - 1, rule.nodes, root_weights)
         out[j] = hermite_core.contract_axes(filtered, [hmat] * f.dim).ravel()
     return NeedletCoefficients(frame=frame, level_values=out)
 
 
 # Coefficients at most this fraction of their level's largest |s| are left out
 # of the synthesis contraction; raised to max(1, 1/p), it bounds every Hermite
-# function of the band on the grid cells the L^p norms leave out.
+# function of the band on the grid cells the L^p norms leave out, and the
+# coefficients the sequence norms leave out.
 WINDOW_TAU = 2.0**-70
 
 
-def coefficient_window(values: np.ndarray) -> slice:
-    """Smallest index range, shared by every axis, outside which |s| <= tau*max|s|.
+def _window_power(p: float) -> float:
+    """The power max(1, 1/p) (1 at p = inf): tau_p = WINDOW_TAU**_window_power(p).
 
-    ``tau`` is WINDOW_TAU.  The window comes from per-axis max/min reductions,
-    so no |s| array over the level is formed.  It is empty for an all-zero
-    level.  Raises NumericFailureError if a value is not finite.
+    Below p = 1 a value v <= tau_p max|v| weighs |v|^p <= WINDOW_TAU max|v|^p.
+    """
+    return max(1.0, 1.0 / p)
+
+
+def coefficient_window(values: np.ndarray, p: float = math.inf) -> slice:
+    """Smallest index range, shared by every axis, outside which |s| <= tau_p*max|s|.
+
+    tau_p = WINDOW_TAU**_window_power(p): WINDOW_TAU at the default p = inf,
+    which synthesis uses, and at every p >= 1.  The window comes from
+    per-axis max/min reductions, so no |s| array over the level is formed.
+    It is empty for an all-zero level.  Raises NumericFailureError if a
+    value is not finite.
     """
     rest = tuple(range(1, values.ndim))
     top, bottom = values.max(axis=rest), values.min(axis=rest)
     peak, trough = top.max(), bottom.min()
     if not (math.isfinite(peak) and math.isfinite(trough)):
         raise NumericFailureError("a needlet coefficient is not finite")
-    cut = WINDOW_TAU * max(peak, -trough)
+    cut = WINDOW_TAU ** _window_power(p) * max(peak, -trough)
     rows = np.flatnonzero((top > cut) | (bottom < -cut))
     if not rows.size:
         return slice(0, 0)

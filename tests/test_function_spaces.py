@@ -10,6 +10,7 @@ from hermite_needlets import (
     GridSpec,
     HermiteExpansion,
     IngestionAccuracyError,
+    NumericFailureError,
     ParameterError,
     ResolutionError,
     ResourceError,
@@ -76,6 +77,18 @@ class TestSequenceNorms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert b_sequence_norm(s, SpaceParams(2000.0, 2.0, 2.0), frame_j3) == INF
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("p", [0.5, 3.0, INF])
+    def test_non_finite_coefficient_raises(self, frame_j3, p, bad):
+        # the coefficient window reads every level's max and min first
+        s = analyze(random_expansion_1d(12, np.random.default_rng(4)), frame_j3)
+        s.level_values[2][5] = bad
+        with pytest.raises(NumericFailureError):
+            b_sequence_norm(s, SpaceParams(0.5, p, 2.0), frame_j3)
+        if p != INF:
+            with pytest.raises(NumericFailureError):
+                f_sequence_norm(s, SpaceParams(0.5, p, p), frame_j3, method="closed")
 
     def test_single_coefficient_telescopes(self, frame_j3, grid_j3):
         s = nf.NeedletCoefficients(
@@ -455,6 +468,15 @@ class TestShiftStudy:
         with pytest.raises(DimensionMismatchError):
             shift_study(1.0, [0.0], SpaceParams(1.0, 2.0, 2.0), frame_d2_j3)
 
+    def test_p_infinity_refused_before_projection(self, frame_j3, monkeypatch):
+        # the F column is undefined at p = inf, so no shift is projected
+        def refuse(*args):
+            raise AssertionError("project_bumps called")
+
+        monkeypatch.setattr(fs, "project_bumps", refuse)
+        with pytest.raises(ParameterError, match="F-scale is defined for p < infinity"):
+            shift_study(1.0, [0.0, 2.0], SpaceParams(1.0, INF, 2.0), frame_j3)
+
     def test_shift_outside_grid_rejected(self, frame_j3):
         grid = GridSpec(5.0, 64)
         with pytest.raises(ParameterError):
@@ -683,7 +705,9 @@ class TestPowerSum:
         assert fs._combined_lp(blocks, params, grid.step**d) == pytest.approx(b, rel=1e-13)
 
     @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("p, q", [(1.5, 1.0), (3.0, 2.0), (4.0, 3.0), (INF, 2.0)])
+    @pytest.mark.parametrize(
+        "p, q", [(0.5, 1.0), (0.75, 2.0), (1.5, 1.0), (3.0, 2.0), (4.0, 3.0), (INF, 2.0)]
+    )
     def test_sequence_norms_match_full_array_formula(self, d, p, q, frame_j3, frame_d2_j3):
         from conftest import random_expansion_2d
 
@@ -726,6 +750,28 @@ class TestPowerSum:
             finally:
                 tracemalloc.stop()
             assert extra / n2 < 1.5
+
+    def test_sequence_norms_read_the_coefficient_window(self, monkeypatch):
+        # the d = 2, j_max = 4 level holds 1064**2 coefficients, of which a
+        # dense degree-64 input leaves about a fifth above WINDOW_TAU
+        from conftest import random_expansion_2d
+
+        frame = nf.build_frame(d=2, j_max=4)
+        s = analyze(random_expansion_2d(64, np.random.default_rng(5)), frame)
+        sizes = []
+        power_sum = fs._power_sum
+
+        def recording(values, *rest):
+            sizes.append(values.size)
+            return power_sum(values, *rest)
+
+        monkeypatch.setattr(fs, "_power_sum", recording)
+        params = SpaceParams(0.5, 3.0, 3.0)
+        b_sequence_norm(s, params, frame)
+        f_sequence_norm(s, params, frame, method="closed")
+        top = frame.levels[-1].node_count
+        assert len(sizes) == 2 * len(s.level_values)
+        assert max(sizes) <= 0.3 * top
 
 
 class TestBandWindow:

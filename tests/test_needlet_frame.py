@@ -446,6 +446,55 @@ class TestTransforms:
             tracemalloc.stop()
         assert extra / matrix < 0.1
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_analyze_stops_each_level_at_its_band(self, frame_j4, frame_d2_j3, d, monkeypatch):
+        # level j's filtered array is zero above degree 4**j - 1, so its
+        # Hermite matrix stops there, below the input's degree
+        frame = frame_j4 if d == 1 else frame_d2_j3
+        make = random_expansion_1d if d == 1 else random_expansion_2d
+        f = make(4 ** (frame.j_max - 1), np.random.default_rng(41))
+        degrees = {}
+        values = hc.hermite_values
+
+        def recording(n, points, *rest):
+            degrees[np.size(points)] = n
+            return values(n, points, *rest)
+
+        monkeypatch.setattr(hc, "hermite_values", recording)
+        s = analyze(f, frame)
+        assert len(degrees) == len(s.level_values) == frame.j_max + 1
+        for j in s.level_values:
+            assert degrees[frame.levels[j].rule.n] <= min(f.degree, 4**j - 1)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "dual"])
+    def test_cutoffs_evaluated_once_per_level(self, kind, monkeypatch):
+        # each level's filter comes from one table over degrees 0..4**j - 1,
+        # evaluated at its first read; the quadratic pair is one cutoff
+        from hermite_needlets import cutoffs
+
+        calls, counted = [], {}
+
+        def counting(cutoff):
+            if cutoff not in counted:
+                tag = len(counted)
+
+                def func(t):
+                    calls.append((tag, t.size))
+                    return cutoff.func(t)
+
+                counted[cutoff] = cutoffs.SmoothCutoff(func)
+            return counted[cutoff]
+
+        pair = cutoffs.make_pair(kind)
+        counting_pair = cutoffs.CutoffPair(counting(pair.a_hat), counting(pair.b_hat))
+        monkeypatch.setitem(cutoffs._SHIPPED, kind, counting_pair)
+        frame = nf.build_frame(d=1, j_max=3, cutoff=kind)
+        for seed in (1, 2):
+            f = random_expansion_1d(16, np.random.default_rng(seed))
+            synthesize(analyze(f, frame), frame)
+        levels = range(1, frame.j_max + 1)
+        assert sorted(calls) == [(tag, 4**j) for tag in range(len(counted)) for j in levels]
+
 
 def full_synthesis(s, frame) -> np.ndarray:
     """Dense synthesis with every level contracted over all of its nodes."""
