@@ -219,10 +219,18 @@ class NeedletCoefficients:
     """Multilevel coefficient map (level, flat node index) -> value.
 
     Levels whose filter misses the input band entirely are omitted.
+    ``degree`` is the total degree of the band the coefficients describe:
+    ``analyze`` sets it to its input's degree, and ``synthesize`` computes
+    no degree above it.  Left out, it is the frame's full band, 4**j_max.
     """
 
     frame: NeedletFrame
     level_values: dict = field(default_factory=dict)  # j -> (node_count,) array
+    degree: int | None = None
+
+    def __post_init__(self):
+        if self.degree is None:
+            self.degree = 4**self.frame.j_max
 
     def sum_squares(self) -> float:
         return float(sum(np.dot(a, a) for a in self.level_values.values()))
@@ -272,7 +280,8 @@ def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
     Exact for band-limited input: the convolution is coefficient filtering,
     contracted on every axis with the lambda**(1/2)-scaled Hermite matrix.
     Each level's matrix and contraction stop at the level's last nonzero
-    filtered degree, at most min(f.degree, 4**j - 1) (``_trimmed``).
+    filtered degree, at most min(f.degree, 4**j - 1) (``_trimmed``).  The
+    result carries ``degree = f.degree``, and its level arrays are read-only.
     Degrees in (4**(j_max-1), 4**j_max] are accepted but do not round-trip
     through ``synthesize``: only a level j_max + 1 would complete the sum of
     a_hat * b_hat there, so at j_max = 3 h_40 comes back as 0.5 h_40.
@@ -284,7 +293,8 @@ def analyze(f: HermiteExpansion, frame: NeedletFrame) -> NeedletCoefficients:
         root_weights = np.sqrt(rule.christoffel_weights)
         hmat = hermite_core.hermite_values(filtered.shape[0] - 1, rule.nodes, root_weights)
         out[j] = hermite_core.contract_axes(filtered, [hmat] * f.dim).ravel()
-    return NeedletCoefficients(frame=frame, level_values=out)
+        out[j].setflags(write=False)
+    return NeedletCoefficients(frame=frame, level_values=out, degree=f.degree)
 
 
 # Coefficients at most this fraction of their level's largest |s| are left out
@@ -334,27 +344,30 @@ def coefficient_window(values: np.ndarray, p: float = math.inf) -> slice:
 def synthesize(coeffs: NeedletCoefficients, frame: NeedletFrame) -> HermiteExpansion:
     """Sum of s_xi * psi_xi, returned as a Hermite expansion.
 
-    Output degree is capped at 4**j_max (the synthesis filters vanish above).
-    Each level is contracted only over its coefficient window (see
-    ``coefficient_window``): the nodes outside it, whose |s| are at most
-    WINDOW_TAU = 2**-70 of the level's largest, are skipped.  The
-    lambda**(1/2)-scaled Hermite rows of degree <= hi are orthonormal under
-    the level's rule (2*hi < 2*order), so this moves the level's output by at
-    most max|b_hat| * WINDOW_TAU * max|s_j| * sqrt(node_count_j) in l2.
+    Every level stops at top = min(4**j_max, coeffs.degree): the synthesis
+    filters vanish above 4**j_max, and for coefficients that ``analyze``
+    took of a degree-n input, the degrees above n hold only roundoff (the
+    level's rule integrates h_m h_k exactly for m + k below twice its
+    order).  The output has degree at most top.  Each level is contracted
+    only over its coefficient window (see ``coefficient_window``): the nodes
+    outside it, whose |s| are at most WINDOW_TAU = 2**-70 of the level's
+    largest, are skipped.  The lambda**(1/2)-scaled Hermite rows of degree
+    <= hi are orthonormal under the level's rule (2*hi < 2*order), so this
+    moves the level's output by at most
+    max|b_hat| * WINDOW_TAU * max|s_j| * sqrt(node_count_j) in l2.
     A level is its window's ``product_moments`` (no matrix at d = 1).
     Raises NumericFailureError if a coefficient is not finite.
     """
     _check_frame(coeffs, frame)
-    cap = 4**frame.j_max
-    shape = (cap + 1,) * frame.d
-    acc = np.zeros(shape)
+    top = min(4**frame.j_max, coeffs.degree)
+    acc = np.zeros((top + 1,) * frame.d)
     for j, values in sorted(coeffs.level_values.items()):
         level = frame.levels[j]
         values = values.reshape(level.shape)
         win = coefficient_window(values)
         if win.start == win.stop:
             continue
-        hi = min(level_band(j)[1], cap)
+        hi = min(level_band(j)[1], top)
         axis = (level.rule.nodes[win], np.sqrt(level.rule.christoffel_weights[win]))
         block = hermite_core.product_moments(values[(win,) * frame.d], hi, [axis] * frame.d)
         band = (slice(0, hi + 1),) * frame.d

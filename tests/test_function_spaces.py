@@ -83,7 +83,9 @@ class TestSequenceNorms:
     def test_non_finite_coefficient_raises(self, frame_j3, p, bad):
         # the coefficient window reads every level's max and min first
         s = analyze(random_expansion_1d(12, np.random.default_rng(4)), frame_j3)
-        s.level_values[2][5] = bad
+        values = {j: v.copy() for j, v in s.level_values.items()}
+        values[2][5] = bad
+        s = nf.NeedletCoefficients(frame=frame_j3, level_values=values)
         with pytest.raises(NumericFailureError):
             b_sequence_norm(s, SpaceParams(0.5, p, 2.0), frame_j3)
         if p != INF:

@@ -313,22 +313,26 @@ class TestTransforms:
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_roundtrip_deep_level(self):
-        # level 5 runs the scale-ledger matrix path: nodes near |t| = 92
-        # with degrees near 1024, where the plain recurrence underflows
+        # level 5 runs the scale-ledger path: nodes near |t| = 92, and with
+        # the full band (a CSV's coefficients) degrees near 1024, where the
+        # plain recurrence underflows
         from hermite_needlets import build_frame
 
         frame = build_frame(d=1, delta=0.025, j_max=5, cutoff="quadratic")
         rng = np.random.default_rng(55)
         f = random_expansion_1d(256, rng)
-        g = synthesize(analyze(f, frame), frame)
+        s = analyze(f, frame)
+        full_band = nf.NeedletCoefficients(frame=frame, level_values=s.level_values)
         want = f.coeff_array()
-        got = np.zeros_like(want)
-        for (k,), v in g.coeffs.items():
-            if k <= 256:
-                got[k] = v
-            else:
-                assert abs(v) < 1e-11
-        assert np.max(np.abs(got - want)) < 1e-10
+        for coeffs in (s, full_band):
+            g = synthesize(coeffs, frame)
+            got = np.zeros_like(want)
+            for (k,), v in g.coeffs.items():
+                if k <= 256:
+                    got[k] = v
+                else:
+                    assert abs(v) < 1e-11
+            assert np.max(np.abs(got - want)) < 1e-10
 
     def test_delta_boundaries(self):
         assert half_node_count(0, 1.0 / 37.0 - 1e-9) >= 5
@@ -466,6 +470,45 @@ class TestTransforms:
         for j in s.level_values:
             assert degrees[frame.levels[j].rule.n] <= min(f.degree, 4**j - 1)
 
+    def test_analyze_output_is_read_only(self, frame_j3):
+        # synthesize stops at the analyzed degree, which an edit could outgrow
+        s = analyze(random_expansion_1d(16, np.random.default_rng(2)), frame_j3)
+        with pytest.raises(ValueError):
+            s.level_values[2][0] = 1.0
+
+    @pytest.mark.parametrize(
+        "fixture,degree",
+        [("frame_j4", 40), ("frame_j4_dual", 40), ("frame_d2_j3", 12), ("frame_d2_j3_dual", 12)],
+    )
+    def test_synthesize_stops_at_the_analyzed_degree(self, request, fixture, degree, monkeypatch):
+        # the level's rule integrates h_m h_k exactly below twice its order,
+        # so above f's degree every level holds only roundoff
+        frame = request.getfixturevalue(fixture)
+        make = random_expansion_1d if frame.d == 1 else random_expansion_2d
+        f = make(degree, np.random.default_rng(43))
+        s = analyze(f, frame)
+        assert s.degree == f.degree
+        asked = moment_degrees(monkeypatch)
+        g = synthesize(s, frame)
+        assert len(asked) == len(s.level_values)
+        assert max(asked) <= f.degree
+        assert g.degree == f.degree
+
+    @pytest.mark.parametrize(
+        "fixture", ["frame_j4", "frame_j4_dual", "frame_d2_j3", "frame_d2_j3_dual"]
+    )
+    def test_default_degree_synthesizes_the_full_band(self, request, fixture, monkeypatch):
+        # coefficients read from a CSV carry no degree: every level runs to
+        # the top of its band, 4**j - 1
+        frame = request.getfixturevalue(fixture)
+        make = random_expansion_1d if frame.d == 1 else random_expansion_2d
+        s = analyze(make(8, np.random.default_rng(47)), frame)
+        hand = nf.NeedletCoefficients(frame=frame, level_values=s.level_values)
+        assert hand.degree == 4**frame.j_max
+        asked = moment_degrees(monkeypatch)
+        synthesize(hand, frame)
+        assert asked == [4**j - 1 for j in sorted(s.level_values)]
+
     @pytest.mark.parametrize("kind", ["quadratic", "dual"])
     def test_cutoffs_evaluated_once_per_level(self, kind, monkeypatch):
         # each level's filter comes from one table over degrees 0..4**j - 1,
@@ -494,6 +537,19 @@ class TestTransforms:
             synthesize(analyze(f, frame), frame)
         levels = range(1, frame.j_max + 1)
         assert sorted(calls) == [(tag, 4**j) for tag in range(len(counted)) for j in levels]
+
+
+def moment_degrees(monkeypatch) -> list:
+    """The degrees ``hermite_core.product_moments`` is asked for, in call order."""
+    asked = []
+    moments = hc.product_moments
+
+    def recording(values, degree, axes):
+        asked.append(degree)
+        return moments(values, degree, axes)
+
+    monkeypatch.setattr(hc, "product_moments", recording)
+    return asked
 
 
 def full_synthesis(s, frame) -> np.ndarray:
@@ -604,10 +660,11 @@ class TestSynthesisWindow:
         f = (random_expansion_1d if d == 1 else random_expansion_2d)(
             24, np.random.default_rng(8)
         )
-        s = analyze(f, frame)
+        values = {j: v.copy() for j, v in analyze(f, frame).level_values.items()}
         level = frame.levels[-1]
         centre = np.ravel_multi_index(tuple(n // 2 for n in level.shape), level.shape)
-        s.level_values[level.j][0 if where == "edge" else centre] = bad
+        values[level.j][0 if where == "edge" else centre] = bad
+        s = nf.NeedletCoefficients(frame=frame, level_values=values)
         with pytest.raises(NumericFailureError):
             synthesize(s, frame)
 
