@@ -328,6 +328,7 @@ def cmd_reconstruct(args: argparse.Namespace, cfg: RunConfig) -> int:
     level_values = {lev: np.zeros(counts[lev]) for lev in np.unique(j).tolist()}
     for lev, values in level_values.items():
         values[i[j == lev]] = v[j == lev]
+        values.setflags(write=False)  # read-only: NeedletCoefficients keeps it uncopied
     coeffs = nf.NeedletCoefficients(frame=frame, level_values=level_values)
     g = nf.synthesize(coeffs, frame)
     path = _out_path(cfg, args.out, "reconstruction.json")

@@ -8,7 +8,8 @@ other integrals are truncated to [-R, R]^d and evaluated by the composite
 midpoint rule on a tensor grid, accumulated one block of grid rows at a
 time, so no level's full grid is held in memory.  Expansions are evaluated
 only on the grid's band window, the cells where some Hermite function of
-their band can matter (``_band_window``).
+their band can matter (``_band_window``), and tiles only inside the top
+level's cube; only those cells are formed, whatever the grid's radius.
 """
 
 from __future__ import annotations
@@ -94,12 +95,21 @@ class GridSpec:
     def step(self) -> float:
         return 1.0 / self.points_per_unit
 
-    def axis(self) -> np.ndarray:
-        """The cell midpoints of one axis; ResourceError above MAX_AXIS_CELLS."""
+    def axis(self, within: float = math.inf) -> np.ndarray:
+        """The cell midpoints x of one axis with |x| <= ``within``.
+
+        Only those cells, bitwise equal to the whole axis's, and a cell of
+        slack at each end of their run are formed; the ends are found apart,
+        as the axis may sit off-centre.  ResourceError above MAX_AXIS_CELLS.
+        """
         n_cells = round(2.0 * self.radius * self.points_per_unit)
         if n_cells > MAX_AXIS_CELLS:
             raise ResourceError(f"a grid axis of {n_cells:.3g} cells exceeds {MAX_AXIS_CELLS}")
-        return -self.radius + (np.arange(n_cells) + 0.5) * self.step
+        ends = ((self.radius - within) * self.points_per_unit - 1.5,
+                (self.radius + within) * self.points_per_unit + 1.5)
+        lo, hi = (int(min(max(end, 0.0), n_cells)) for end in ends)
+        cells = -self.radius + (np.arange(lo, hi) + 0.5) * self.step
+        return cells[np.abs(cells) <= within]
 
 
 def default_grid(frame: NeedletFrame) -> GridSpec:
@@ -135,38 +145,31 @@ def _row_slices(n_rows: int, row_size: int):
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
-def _band_window(axis: np.ndarray, degree: int, p: float) -> slice:
-    """The run of ``axis`` cells with |x| <= R, outside which every |h_k| <= tau_p.
+def _band_window(grid: GridSpec, degree: int, p: float) -> np.ndarray:
+    """The ``grid`` axis cells with |x| <= R, outside which every |h_k| <= tau_p.
 
     k runs over 0..degree, tau_p = WINDOW_TAU**max(1, 1/p) (WINDOW_TAU at
-    p = inf, ``_window_power``), and R is ``hermite_core.decay_radius`` over
-    the positive cells.  On a dropped cell of a d-dim grid a band-limited
+    p = inf, ``_window_power``), and R is the closed-form ``decay_radius``.
+    On a dropped cell of a d-dim grid a band-limited
     g = sum_alpha c_alpha H_alpha has |g| <= tau_p pi^(-(d-1)/4) ||c||_1
     (|h_k| <= pi^(-1/4) on the other axes), so the sum of |g|^p over a grid
     moves by at most N_dropped * cell volume * (that bound)^p.
     """
     log_tau = math.log(WINDOW_TAU) * _window_power(p)
-    radius = hermite_core.decay_radius(degree, axis[axis > 0.0], log_tau)
-    kept = np.flatnonzero(np.abs(axis) <= radius)
-    return slice(int(kept[0]), int(kept[-1]) + 1)
+    return grid.axis(hermite_core.decay_radius(degree, log_tau))
 
 
-def _expansion_blocks(
-    filtered: dict[int, np.ndarray], degree: int, axis: np.ndarray, p: float
-):
-    """Yield every level's values on the next block of the band window's rows.
+def _expansion_blocks(filtered: dict[int, np.ndarray], degree: int, axis: np.ndarray):
+    """Yield every level's values on the next block of rows of the ``axis`` cells.
 
-    ``filtered`` maps levels to nonzero arrays of one shape.  Only the
-    ``_band_window(axis, degree, p)`` cells of every axis are evaluated:
-    the same cells and cell volume, less the ones where no value reaches
-    the window's bound.  A block is an iterator of ``(j, values)`` pairs,
-    computed as it is read, so read each block before asking for the next.
-    The first axis contracts with the block's row Hermite matrix, the
-    others with the whole window's, each level only over the rows up to
-    its last nonzero index (``_trimmed``): a level's band ends below the
-    degree.
+    ``filtered`` maps levels to nonzero arrays of one shape, evaluated on
+    the tensor grid of ``axis`` on every axis: the norms pass
+    ``_band_window``'s cells.  A block is an iterator of ``(j, values)``
+    pairs, computed as it is read, so read each block before asking for the
+    next.  The first axis contracts with the block's row Hermite matrix, the
+    others with the whole axis's, each level only over the rows up to its
+    last nonzero index (``_trimmed``): a level's band ends below the degree.
     """
-    axis = axis[_band_window(axis, degree, p)]
     dim = next(iter(filtered.values())).ndim
     cols = [hermite_core.hermite_values(degree, axis) for _ in range(dim - 1)]
     trimmed = {j: _trimmed(c) for j, c in filtered.items()}
@@ -188,12 +191,14 @@ def _scaled_tiles(values: np.ndarray, level, win: slice = slice(None)) -> np.nda
     return scaled
 
 
-def _tile_blocks(s: NeedletCoefficients, frame: NeedletFrame, axis: np.ndarray):
+def _tile_blocks(s: NeedletCoefficients, frame: NeedletFrame, grid: GridSpec):
     """Yield every level's |s| / sqrt(tile measure) on the next block of rows.
 
-    Blocks are read like those of ``_expansion_blocks``.  Each level's table
-    is padded with zeros, which index -1 (outside the level's cube) selects.
+    Blocks are read like those of ``_expansion_blocks``, on the ``grid``
+    cells inside the top level's cube, the widest.  Each level's table is
+    padded with zeros, which index -1 (outside the level's cube) selects.
     """
+    axis = grid.axis(frame.levels[-1].interval_bounds[-1])
     tables = {}
     for j, values in sorted(s.level_values.items()):
         level = frame.levels[j]
@@ -305,7 +310,7 @@ def _level_lp_norms(arrays: dict, degree: int, p: float, grid: GridSpec | None) 
         if grid is None:
             raise ResolutionError("L^p evaluation with p != 2 needs a grid")
         dim = next(iter(live.values())).ndim
-        blocks = _expansion_blocks(live, degree, grid.axis(), p)
+        blocks = _expansion_blocks(live, degree, _band_window(grid, degree, p))
         norms = _lp_norms(blocks, p, grid.step**dim)
     return {k: norms.get(k, 0.0) for k in arrays}
 
@@ -338,7 +343,7 @@ def _f_norm(filtered, degree, params, frame, grid) -> float:
     if not filtered:
         return 0.0
     _validate_grid(grid, frame)
-    blocks = _expansion_blocks(filtered, degree, grid.axis(), params.p)
+    blocks = _expansion_blocks(filtered, degree, _band_window(grid, degree, params.p))
     return _combined_lp(blocks, params, grid.step**frame.d)
 
 
@@ -383,7 +388,7 @@ def f_sequence_norm(
         return b_sequence_norm(s, params, frame)
     _check_frame(s, frame)
     _validate_grid(grid, frame)
-    return _combined_lp(_tile_blocks(s, frame, grid.axis()), params, grid.step**frame.d)
+    return _combined_lp(_tile_blocks(s, frame, grid), params, grid.step**frame.d)
 
 
 def b_sequence_norm(

@@ -144,32 +144,26 @@ def _scaled_derivative(n: int, t: np.ndarray):
     return p_n, deriv, logscale
 
 
-def decay_radius(n: int, points: np.ndarray, log_tau: float) -> float:
-    """First of the ascending ``points`` beyond sqrt(2n+1) with log|h_n| <= log_tau.
+def decay_radius(n: int, log_tau: float) -> float:
+    """Root t > a = sqrt(2n+1) of phi(t) = log_tau < 0, phi the decay of h_n.
 
-    Beyond the turning point sqrt(2n+1), |h_n| falls as |t| grows and bounds
-    every |h_k| with k <= n, so no |h_k| exceeds exp(log_tau) beyond the
-    result; inf if no point qualifies.  log|h_n| = log|p| + logscale is read
-    from the ledger and never exponentiated, so no flush to zero moves it.
-    Two recurrence passes, O(n sqrt(m)) for m points beyond the turning
-    point: one over every isqrt(m)-th point, one over the stride that holds
-    the first qualifying point.
+    phi(t) = -(t s - a^2 asinh(s/a))/2, s = sqrt(t^2 - a^2), is the
+    Plancherel-Rotach exponent of log|h_n| beyond the turning point a
+    (Szego, Orthogonal Polynomials, 8.22), where |h_n| falls and bounds
+    every |h_k| with k <= n.  It is asymptotic, not a bound: TestDecayRadius
+    checks the recurrence's log|h_n| at the root and 0.25 inside it.
+    phi' = -s, phi is concave and phi(a + sqrt(-2 log_tau)) <= log_tau, so
+    Newton from there falls monotonically onto the root, using no arrays.
     """
     _check_degree(n)
-    beyond = points[points > math.sqrt(2.0 * n + 1.0)]
-
-    def first_below(t):  # index of the first qualifying point, t.size if none
-        if not t.size:
-            return 0
-        _, p, logscale = _scaled_state(n, t)
-        below = np.log(np.abs(p)) + logscale <= log_tau
-        return int(np.argmax(below)) if below.any() else t.size
-
-    stride = max(1, math.isqrt(beyond.size))
-    lo = first_below(beyond[stride - 1 :: stride]) * stride
-    fine = beyond[lo : lo + stride]
-    k = first_below(fine)
-    return float(fine[k]) if k < fine.size else math.inf
+    a = math.sqrt(2.0 * n + 1.0)
+    t = a + math.sqrt(-2.0 * log_tau)
+    while True:
+        s = math.sqrt((t - a) * (t + a))
+        nxt = t + (-0.5 * (t * s - a * a * math.asinh(s / a)) - log_tau) / s
+        if not nxt < t:
+            return t
+        t = nxt
 
 
 def _finished_steps(n: int, t: np.ndarray, weights: np.ndarray):

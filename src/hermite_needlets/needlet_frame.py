@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -214,23 +215,45 @@ def level_kernel(frame, j, x, y, cutoff, dx_order=0) -> np.ndarray:
     return hermite_core.filtered_kernel(w, x, y, frame.d, dx_order)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NeedletCoefficients:
-    """Multilevel coefficient map (level, flat node index) -> value.
+    """Multilevel coefficient map (level, flat node index) -> value, immutable.
 
     Levels whose filter misses the input band entirely are omitted.
-    ``degree`` is the total degree of the band the coefficients describe:
-    ``analyze`` sets it to its input's degree, and ``synthesize`` computes
-    no degree above it.  Left out, it is the frame's full band, 4**j_max.
+    ``level_values`` becomes a read-only map of read-only (node_count,)
+    arrays; a writable input array is copied.  ``degree`` is the total
+    degree of the band the coefficients describe: ``analyze`` sets it to
+    its input's degree, and ``synthesize`` computes no degree above it.
+    Left out, it is the frame's full band, 4**j_max.  ParameterError unless
+    every level lies in 0..j_max with its level's node count of values and
+    ``degree`` is an int in 0..4**j_max.
     """
 
     frame: NeedletFrame
-    level_values: dict = field(default_factory=dict)  # j -> (node_count,) array
+    level_values: Mapping = field(default_factory=dict)  # j -> (node_count,) array
     degree: int | None = None
 
     def __post_init__(self):
-        if self.degree is None:
-            self.degree = 4**self.frame.j_max
+        frame, top = self.frame, 4**self.frame.j_max
+        degree = top if self.degree is None else self.degree
+        if not (isinstance(degree, (int, np.integer)) and 0 <= degree <= top):
+            raise ParameterError(f"coefficient degree must be an int in 0..{top}, got {degree!r}")
+        values = {}
+        for j, v in self.level_values.items():
+            if not (isinstance(j, (int, np.integer)) and 0 <= j <= frame.j_max):
+                raise ParameterError(f"coefficient level {j!r} outside 0..{frame.j_max}")
+            arr = np.asarray(v, dtype=float)
+            count = frame.levels[j].node_count
+            if arr.shape != (count,):
+                raise ParameterError(
+                    f"level {j} coefficients of shape {arr.shape}, expected ({count},)"
+                )
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.setflags(write=False)
+            values[int(j)] = arr
+        object.__setattr__(self, "level_values", MappingProxyType(values))
+        object.__setattr__(self, "degree", int(degree))
 
     def sum_squares(self) -> float:
         return float(sum(np.dot(a, a) for a in self.level_values.values()))

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermite_needlets import (
     FrameMismatchError,
@@ -69,6 +71,64 @@ class TestParams:
             approximation_norm(HermiteExpansion(1, 2, {(2,): 1.0}), alpha, 2.0)
 
 
+class TestGridCells:
+    """``GridSpec.axis(within)`` forms only the cells the grid norms read."""
+
+    @given(
+        # 2 * radius * ppu need not be an integer: the axis may sit off-centre
+        radius=st.floats(min_value=0.5, max_value=300.0),
+        ppu=st.integers(min_value=1, max_value=64),
+        within=st.one_of(
+            st.floats(min_value=0.0, max_value=400.0),
+            st.just(INF),
+            st.sampled_from([0.0, 0.5, 1.0]),
+        ),
+    )
+    # the d = 1, j_max = 4 default grid, 5967.76 cells wide
+    @example(radius=46.62310755504863, ppu=64, within=0.0)
+    @example(radius=46.62310755504863, ppu=64, within=17.226)
+    @example(radius=46.62310755504863, ppu=64, within=1e3)
+    @settings(max_examples=300, deadline=None)
+    def test_window_is_the_whole_axis_masked(self, radius, ppu, within):
+        grid = GridSpec(radius, ppu)
+        whole = grid.axis()
+        got = grid.axis(within)
+        want = whole[np.abs(whole) <= within]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # a window that ends exactly on a midpoint keeps that cell
+        for x in whole[[0, whole.size // 2, -1]]:
+            cut = grid.axis(abs(x))
+            assert cut.tobytes() == whole[np.abs(whole) <= abs(x)].tobytes()
+
+    def test_norm_memory_does_not_grow_with_the_radius(self):
+        # `norms --j-max 1 --function bump:1.0 --alpha 0.5 --p 3 --q 2
+        # --points-per-unit 16`: a radius-5e5 axis holds 1.6e7 cells, the norms
+        # read about 300 of them
+        frame = nf.build_frame(j_max=1)
+        f = fs.project_bumps(1.0, [0.0], 1, 1)[0].expansion
+        s = analyze(f, frame)
+        params = SpaceParams(0.5, 3.0, 2.0)
+        norms = {
+            "F": lambda g: f_continuous_norm(f, params, frame, g),
+            "B": lambda g: b_continuous_norm(f, params, frame, g),
+            "E": lambda g: best_approx_error(f, 0, params.p, g),
+            "f": lambda g: f_sequence_norm(s, params, frame, g),
+        }
+        for name, norm in norms.items():
+            runs = []
+            for radius in (50.0, 5e5):
+                tracemalloc.start()
+                try:
+                    value = norm(GridSpec(radius, 16))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                runs.append((value, peak))
+            (small, small_peak), (big, big_peak) = runs
+            assert big == small, name
+            assert big_peak <= 1.1 * small_peak, (name, small_peak, big_peak)
+
+
 class TestSequenceNorms:
     def test_b_norm_past_the_double_range_is_inf(self, frame_j3):
         # 2**(2000 j) overflows from level 1 on: inf, with no OverflowError
@@ -93,11 +153,9 @@ class TestSequenceNorms:
                 f_sequence_norm(s, SpaceParams(0.5, p, p), frame_j3, method="closed")
 
     def test_single_coefficient_telescopes(self, frame_j3, grid_j3):
-        s = nf.NeedletCoefficients(
-            frame=frame_j3,
-            level_values={2: np.zeros(frame_j3.levels[2].node_count)},
-        )
-        s.level_values[2][11] = 1.0
+        values = np.zeros(frame_j3.levels[2].node_count)
+        values[11] = 1.0
+        s = nf.NeedletCoefficients(frame=frame_j3, level_values={2: values})
         params = SpaceParams(0.0, 2.0, 2.0)
         assert f_sequence_norm(s, params, frame_j3, grid_j3) == pytest.approx(1.0)
 
@@ -124,22 +182,18 @@ class TestSequenceNorms:
         assert check.passed, check.detail
 
     def test_b_single_level_weight(self, frame_j3):
-        s = nf.NeedletCoefficients(
-            frame=frame_j3,
-            level_values={2: np.zeros(frame_j3.levels[2].node_count)},
-        )
-        s.level_values[2][11] = 1.0
+        values = np.zeros(frame_j3.levels[2].node_count)
+        values[11] = 1.0
+        s = nf.NeedletCoefficients(frame=frame_j3, level_values={2: values})
         # p = 2 kills the tile factor, alpha = 1 leaves the level weight 2^j
         assert b_sequence_norm(
             s, SpaceParams(1.0, 2.0, 1.0), frame_j3
         ) == pytest.approx(4.0)
 
     def test_b_p_infinity_is_scaled_sup(self, frame_j3):
-        s = nf.NeedletCoefficients(
-            frame=frame_j3,
-            level_values={1: np.zeros(frame_j3.levels[1].node_count)},
-        )
-        s.level_values[1][5] = 3.0
+        values = np.zeros(frame_j3.levels[1].node_count)
+        values[5] = 3.0
+        s = nf.NeedletCoefficients(frame=frame_j3, level_values={1: values})
         measures = frame_j3.levels[1].tile_measures()
         want = 2.0**0.5 * 3.0 / math.sqrt(measures[5])
         got = b_sequence_norm(s, SpaceParams(0.5, INF, 1.0), frame_j3)
@@ -293,7 +347,7 @@ class TestContinuousNorms:
         exact = f_continuous_norm(f, params, frame_d2_j3, None)
         grid = GridSpec(frame_d2_j3.max_node + 1.0, 32)
         filtered = fs._filtered_coeffs(f, frame_d2_j3, frame_d2_j3.j_max)
-        blocks = fs._expansion_blocks(filtered, f.degree, grid.axis(), params.p)
+        blocks = fs._expansion_blocks(filtered, f.degree, fs._band_window(grid, f.degree, params.p))
         got = fs._combined_lp(blocks, params, grid.step**2)
         assert got == pytest.approx(exact, rel=1e-8)
 
@@ -703,7 +757,7 @@ class TestPowerSum:
         b = b_continuous_norm(f, params, frame, grid)
         assert f_continuous_norm(f, params, frame, grid) == pytest.approx(b, rel=1e-13)
         filtered = fs._filtered_coeffs(f, frame, None)
-        blocks = fs._expansion_blocks(filtered, f.degree, grid.axis(), params.p)
+        blocks = fs._expansion_blocks(filtered, f.degree, fs._band_window(grid, f.degree, params.p))
         assert fs._combined_lp(blocks, params, grid.step**d) == pytest.approx(b, rel=1e-13)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -817,8 +871,7 @@ class TestBandWindow:
         frame, grid, f = cases[d]
         alpha = self.ALPHA
         axis = grid.axis()
-        window = fs._band_window(axis, f.degree, p)
-        kept = window.stop - window.start
+        kept = fs._band_window(grid, f.degree, p).size
         assert kept < axis.size
         n_dropped, vol = axis.size**d - kept**d, grid.step**d
         l1 = float(np.sum(np.abs(f.array)))

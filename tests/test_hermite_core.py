@@ -257,7 +257,7 @@ class TestKernelDiagonal:
 class TestExpansion:
     def test_single_term(self):
         f = HermiteExpansion(1, 0, {(0,): 1.0})
-        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, np.array([0.0]), np.inf))
+        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, np.array([0.0])))
         assert v[0] == pytest.approx(PI14, rel=1e-14)
 
     def test_zero_expansion(self):
@@ -268,7 +268,7 @@ class TestExpansion:
     def test_linearity(self):
         f = HermiteExpansion(1, 5, {(2,): 3.0, (5,): -1.0})
         want = 3.0 * hermite_fn_direct(2, 1.1) - hermite_fn_direct(5, 1.1)
-        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, np.array([1.1]), np.inf))
+        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, np.array([1.1])))
         assert v[0] == pytest.approx(want, rel=1e-12)
 
     def test_l2_norm_parseval(self):
@@ -290,13 +290,13 @@ class TestExpansion:
             hermite_fn_direct(1, x[0]) * hermite_fn_direct(3, x[1])
         )
         axis = np.array([-0.7, 0.3])  # the grid point (axis[1], axis[0]) is x
-        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, axis, np.inf))
+        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, axis))
         assert v[1, 0] == pytest.approx(want, rel=1e-12)
 
     def test_grid_evaluation_matches_pointwise(self):
         f = HermiteExpansion(2, 3, {(0, 2): 1.5, (3, 0): -0.5})
         xs = np.linspace(-2, 2, 5)
-        ((_, grid),) = next(fs._expansion_blocks({0: f.array}, f.degree, xs, np.inf))
+        ((_, grid),) = next(fs._expansion_blocks({0: f.array}, f.degree, xs))
         for i, x in enumerate(xs):
             for j, y in enumerate(xs):
                 want = sum(
@@ -319,7 +319,7 @@ class TestExpansion:
         f = HermiteExpansion(1, 3, {(1,): 0.5, (3,): -2.0})
         g = f.scaled(scale)  # all zero at scale 0: _expansion_blocks takes nonzero arrays
         got = sum(c * hermite_fn_direct(k, t) for (k,), c in g.coeffs.items())
-        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, np.array([t]), np.inf))
+        ((_, v),) = next(fs._expansion_blocks({0: f.array}, f.degree, np.array([t])))
         assert got == pytest.approx(scale * v[0], rel=1e-10, abs=1e-12)
 
 
@@ -699,30 +699,47 @@ def mp_hermite_row(n, t):
 class TestDecayRadius:
     """The grid norms' band window: where every |h_k|, k <= n, is below tau."""
 
-    # midpoints of a 1/16 grid on [0, 60]
-    POINTS = (np.arange(16 * 60) + 0.5) / 16
+    # a frozen sweep: degrees in [0, DEGREE_CAP], log_tau = power * log(2**-70)
+    DEGREES = (0, 1, 2, 5, 13, 40, 121, 364, 1093, 3280, 9841, 20000)
+    POWERS = (1.0, 2.0, 10.0 / 3.0, 20.0, 1000.0)
+
+    def test_safe_and_tight_against_the_ledger(self):
+        # the closed form is asymptotic, so the recurrence is its oracle: at
+        # the root log|h_n| is at most log_tau, and a quarter inside it (where
+        # that is still beyond the turning point) above log_tau
+        log_taus = -70.0 * math.log(2.0) * np.array(self.POWERS)
+        for n in self.DEGREES:
+            radii = np.array([hc.decay_radius(n, log_tau) for log_tau in log_taus])
+            _, p, logscale = hc._scaled_state(n, np.concatenate([radii, radii - 0.25]))
+            at, inside = np.split(np.log(np.abs(p)) + logscale, 2)
+            assert np.all(at <= log_taus), (n, radii)
+            beyond = radii - 0.25 > math.sqrt(2 * n + 1)
+            assert np.all((inside > log_taus)[beyond]), (n, radii)
+
+    def test_runs_no_recurrence(self, monkeypatch):
+        def no_recurrence(*args):
+            raise AssertionError("decay_radius ran the recurrence")
+
+        monkeypatch.setattr(hc, "_ledger_steps", no_recurrence)
+        radius = hc.decay_radius(hc.DEGREE_CAP, -70.0 * math.log(2.0))
+        assert math.sqrt(2 * hc.DEGREE_CAP + 1) < radius < math.inf
 
     @pytest.mark.parametrize("n", [0, 1, 16, 64, 244, 1024])
     @pytest.mark.parametrize("bits", [70, 140])
     def test_edge_against_mpmath(self, n, bits):
         mpmath = pytest.importorskip("mpmath")
         log_tau = -bits * math.log(2.0)
-        radius = hc.decay_radius(n, self.POINTS, log_tau)
-        # the ledger's log|h_n| at the edge, as the radius reads it
+        radius = hc.decay_radius(n, log_tau)
+        # the ledger's log|h_n| at the edge, as the sweep reads it
         _, p, logscale = hc._scaled_state(n, np.array([radius]))
         got = math.log(abs(p[0])) + logscale[0]
         want = float(mpmath.log(abs(mp_hermite(n, radius))))
         assert abs(got - want) <= 1e-12 * abs(want)
         assert want <= log_tau
-        # the point before the edge is still above tau, or not beyond the turning point
-        before = self.POINTS[np.searchsorted(self.POINTS, radius) - 1]
-        if before > math.sqrt(2 * n + 1):
-            assert float(mpmath.log(abs(mp_hermite(n, before)))) > log_tau
-
-    def test_no_edge_on_a_short_axis(self):
-        log_tau = -70 * math.log(2.0)
-        assert hc.decay_radius(64, self.POINTS[self.POINTS < 15.0], log_tau) == math.inf
-        assert hc.decay_radius(6144, self.POINTS, log_tau) == math.inf
+        # a quarter inside the edge is still above tau, or not beyond the turning point
+        inside = radius - 0.25
+        if inside > math.sqrt(2 * n + 1):
+            assert float(mpmath.log(abs(mp_hermite(n, inside)))) > log_tau
 
     @pytest.mark.parametrize("n", [1, 2, 16, 64, 244])
     def test_dominance_beyond_turning_point(self, n):

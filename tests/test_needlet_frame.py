@@ -347,10 +347,9 @@ class TestTransforms:
     def test_single_coefficient_synthesis(self, frame_j3):
         j, i = 1, 7
         level = frame_j3.levels[j]
-        s = nf.NeedletCoefficients(
-            frame=frame_j3, level_values={j: np.zeros(level.node_count)}
-        )
-        s.level_values[j][i] = 1.0
+        values = np.zeros(level.node_count)
+        values[i] = 1.0
+        s = nf.NeedletCoefficients(frame=frame_j3, level_values={j: values})
         g = synthesize(s, frame_j3)
         xi = level.nodes[i, 0]
         lam = level.weights[i]
@@ -590,6 +589,48 @@ def frame_d2_j3_dual():
     return nf.build_frame(2, j_max=3, cutoff="dual")
 
 
+class TestCoefficientSets:
+    """A coefficient set is checked once, at construction, and cannot change."""
+
+    def test_degree_cannot_be_lowered(self, frame_j3):
+        # degree 3 would cut synthesis short: l2 2.0 instead of sqrt(11) = 3.32
+        f = HermiteExpansion(1, 10, {(k,): 1.0 for k in range(11)})
+        s = analyze(f, frame_j3)
+        with pytest.raises(AttributeError):
+            s.degree = 3
+        with pytest.raises(TypeError):
+            s.level_values[2] = np.zeros(frame_j3.levels[2].node_count)
+        assert synthesize(s, frame_j3).l2_norm() == pytest.approx(f.l2_norm(), rel=1e-12)
+
+    @pytest.mark.parametrize("degree", [-5, 4**3 + 1, 2.0])
+    def test_degree_outside_the_band_is_refused(self, frame_j3, degree):
+        with pytest.raises(ParameterError):
+            nf.NeedletCoefficients(frame=frame_j3, degree=degree)
+
+    @pytest.mark.parametrize("j", [-1, 4])
+    def test_level_outside_the_frame_is_refused(self, frame_j3, j):
+        with pytest.raises(ParameterError):
+            nf.NeedletCoefficients(frame=frame_j3, level_values={j: np.zeros(10)})
+
+    def test_wrong_length_is_refused(self, frame_j3):
+        count = frame_j3.levels[2].node_count
+        for values in (np.zeros(count - 1), np.zeros((count, 1))):
+            with pytest.raises(ParameterError):
+                nf.NeedletCoefficients(frame=frame_j3, level_values={2: values})
+
+    def test_writable_input_is_copied(self, frame_j3):
+        values = np.zeros(frame_j3.levels[1].node_count)
+        s = nf.NeedletCoefficients(frame=frame_j3, level_values={1: values})
+        values[0] = 1.0
+        assert not s.level_values[1].flags.writeable
+        assert s.sum_squares() == 0.0
+
+    def test_analyzed_arrays_are_not_copied(self, frame_j3):
+        s = analyze(random_expansion_1d(16, np.random.default_rng(6)), frame_j3)
+        again = nf.NeedletCoefficients(frame=frame_j3, level_values=s.level_values)
+        assert all(again.level_values[j] is v for j, v in s.level_values.items())
+
+
 class TestSynthesisWindow:
     def test_window_of_values(self):
         tau = nf.WINDOW_TAU
@@ -645,8 +686,9 @@ class TestSynthesisWindow:
     def test_zero_level_equals_omitted_level(self, frame_j3):
         s = analyze(random_expansion_1d(40, np.random.default_rng(3)), frame_j3)
         values = dict(s.level_values)
-        omitted = nf.NeedletCoefficients(frame=frame_j3, level_values=dict(values))
-        del omitted.level_values[2]
+        omitted = nf.NeedletCoefficients(
+            frame=frame_j3, level_values={j: v for j, v in values.items() if j != 2}
+        )
         values[2] = np.zeros_like(values[2])
         zeroed = nf.NeedletCoefficients(frame=frame_j3, level_values=values)
         g_zeroed, g_omitted = synthesize(zeroed, frame_j3), synthesize(omitted, frame_j3)
